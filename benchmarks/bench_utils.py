@@ -10,6 +10,10 @@ DEFAULT_SCALE = 0.25
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
+#: Where tables carrying wall-clock timings go.  They change on every run, so
+#: the directory is git-ignored; ``RESULTS_DIR`` keeps only deterministic output.
+TIMINGS_DIR = RESULTS_DIR / "timings"
+
 
 def bench_scale() -> float:
     """Scale factor for process counts / platform sizes (``REPRO_BENCH_SCALE``)."""

@@ -33,12 +33,12 @@ def _measure(n_resources: int, n_slices: int) -> float:
     return time.perf_counter() - start
 
 
-def test_scaling_in_resources(benchmark, results_dir):
+def test_scaling_in_resources(benchmark, timings_dir):
     """Cost grows roughly linearly with |S| at fixed |T| (per the O(|S||T|^3) bound)."""
     benchmark.pedantic(_measure, args=(RESOURCE_SWEEP[-1], 20), rounds=1, iterations=1)
     timings = {r: _measure(r, 20) for r in RESOURCE_SWEEP}
     lines = [f"|S|={r:4d}, |T|=20: {t * 1e3:8.2f} ms" for r, t in timings.items()]
-    write_result(results_dir, "ablation_scaling_resources.txt", "\n".join(lines))
+    write_result(timings_dir, "ablation_scaling_resources.txt", "\n".join(lines))
     # Growing |S| by 8x must not grow the runtime more than ~32x (linear bound
     # with generous constant-factor headroom for Python overheads).
     assert timings[RESOURCE_SWEEP[-1]] < 32 * max(timings[RESOURCE_SWEEP[0]], 1e-4)
@@ -46,12 +46,12 @@ def test_scaling_in_resources(benchmark, results_dir):
     assert timings[RESOURCE_SWEEP[-1]] > timings[RESOURCE_SWEEP[0]]
 
 
-def test_scaling_in_slices(benchmark, results_dir):
+def test_scaling_in_slices(benchmark, timings_dir):
     """Cost grows superlinearly with |T| at fixed |S| but stays within O(|T|^3)."""
     benchmark.pedantic(_measure, args=(16, SLICE_SWEEP[-1]), rounds=1, iterations=1)
     timings = {t: _measure(16, t) for t in SLICE_SWEEP}
     lines = [f"|S|=16, |T|={t:4d}: {value * 1e3:8.2f} ms" for t, value in timings.items()]
-    write_result(results_dir, "ablation_scaling_slices.txt", "\n".join(lines))
+    write_result(timings_dir, "ablation_scaling_slices.txt", "\n".join(lines))
     assert timings[SLICE_SWEEP[-1]] > timings[SLICE_SWEEP[0]]
     # Growing |T| by 4x must not exceed the cubic bound by more than 2x slack.
     assert timings[SLICE_SWEEP[-1]] < 2 * (4 ** 3) * max(timings[SLICE_SWEEP[0]], 1e-4)

@@ -61,11 +61,11 @@ def case_results():
     return {name: run_case(factory(scale), n_slices=30, p=0.7) for name, factory in _CASES.items()}
 
 
-def test_table2_regeneration(benchmark, case_results, results_dir):
+def test_table2_regeneration(benchmark, case_results, timings_dir):
     """Render Table II and check its qualitative shape."""
     results = list(case_results.values())
     text = benchmark(format_table2, results)
-    write_result(results_dir, "table2.txt", text)
+    write_result(timings_dir, "table2.txt", text)
 
     by_case = {result.scenario.case: result for result in results}
     # Case C (LU, largest trace here as in the paper) has more events than case A.
@@ -90,7 +90,7 @@ def test_aggregation_time_per_case(benchmark, case_results, case_name):
     benchmark.pedantic(result.aggregator.run, args=(0.5,), rounds=3, iterations=1)
 
 
-def test_aggregation_cost_independent_of_event_count(benchmark, case_results, results_dir):
+def test_aggregation_cost_independent_of_event_count(benchmark, case_results, timings_dir):
     """Aggregation depends on |S| x |T|, not on the number of events.
 
     Case C has far more events than case A; its aggregation time must grow at
@@ -107,5 +107,5 @@ def test_aggregation_cost_independent_of_event_count(benchmark, case_results, re
         f"aggregation time ratio: {time_ratio:.1f}",
         f"resource ratio:         {resource_ratio:.1f}",
     ]
-    write_result(results_dir, "table2_aggregation_scaling.txt", "\n".join(lines))
+    write_result(timings_dir, "table2_aggregation_scaling.txt", "\n".join(lines))
     assert time_ratio < max(4.0 * resource_ratio, 8.0)

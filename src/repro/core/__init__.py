@@ -12,7 +12,12 @@ from .criteria import IntervalStatistics
 from .hierarchy import Hierarchy, HierarchyError, HierarchyNode
 from .microscopic import MicroscopicModel, MicroscopicModelError
 from .operators import MeanOperator, SumOperator, get_operator, pic, xlogx
-from .parameters import QualityPoint, find_significant_parameters, quality_curve
+from .parameters import (
+    QualityPoint,
+    find_significant_parameters,
+    quality_curve,
+    significant_points,
+)
 from .partition import Aggregate, Partition, PartitionError
 from .spatial import SpatialAggregator, aggregate_spatial
 from .spatiotemporal import (
@@ -53,4 +58,5 @@ __all__ = [
     "QualityPoint",
     "quality_curve",
     "find_significant_parameters",
+    "significant_points",
 ]

@@ -1,31 +1,42 @@
 """Selectable DP-sweep kernels for the Algorithm 1 temporal-cut recurrence.
 
-Three tiers compute the very same recurrence — ``best[i, j] = max over k of
-best[i, i + k] + best[i + k + 1, j]`` with the coarsest-partition tie-break —
-and are **bit-identical by construction** (the property suite diffs them cell
-by cell, no tolerances):
+Every kernel takes a *slab* of DP tables: ``best``/``cut``/``count`` of shape
+``(N, T, T)`` — one ``(T, T)`` table per hierarchy node — or a single
+``(T, T)`` table, treated as ``N = 1``.  The caller stacks all nodes of one
+hierarchy height into one slab (their tables are independent once the
+children below them are final), so one call runs the recurrence for a whole
+height.  Three tiers compute the very same recurrence — ``best[n, i, j] =
+max over k of best[n, i, i + k] + best[n, i + k + 1, j]`` with the
+coarsest-partition tie-break — and are **bit-identical by construction**
+(the property suite diffs them cell by cell, no tolerances):
 
 ``numpy``
-    The historical anti-diagonal strided sweep.  Its right-hand window walks
-    *up* a column of the row-major table (stride ``-s0``), which thrashes the
-    cache once ``|T|`` outgrows it.  Kept as the always-importable reference.
+    The anti-diagonal strided sweep, vectorized over the node axis: one
+    interval length of *every* node in the slab costs a constant number of
+    numpy calls.  The ``(nodes, starts, cuts)`` temporaries of one length are
+    bounded by :data:`SWEEP_BATCH_BYTES`: the node axis is split into chunks
+    that fit.  Its right-hand window walks *up* a column of the row-major
+    table (stride ``-s0``), which thrashes the cache once ``|T|`` outgrows
+    it.  Kept as the always-importable reference.
 
 ``blocked``
-    The same sweep reading the right-hand operands through a maintained
-    C-contiguous transpose buffer, processed in row blocks: both windows
-    become row-contiguous strided views, so every interval length streams
-    through memory instead of striding down columns.  Identical additions on
-    identical values, so identical bits — just a cache-friendly access order.
-    The transpose upkeep costs a constant factor, so it only pays off once
-    the ``(|T|, |T|)`` tables outgrow the last-level cache: *auto* detection
-    picks it at ``|T| >= BLOCKED_MIN_SLICES`` and ``numpy`` below.
+    The same sweep per node, reading the right-hand operands through a
+    maintained C-contiguous transpose buffer, processed in row blocks: both
+    windows become row-contiguous strided views, so every interval length
+    streams through memory instead of striding down columns.  Identical
+    additions on identical values, so identical bits — just a cache-friendly
+    access order.  The transpose upkeep costs a constant factor, so it only
+    pays off once the ``(|T|, |T|)`` tables outgrow the last-level cache:
+    *auto* detection picks it at ``|T| >= BLOCKED_MIN_SLICES`` and ``numpy``
+    below.
 
 ``numba``
-    A ``numba.njit`` per-cell loop nest (two passes: exact max, then first
-    minimal aggregate count among the epsilon-eligible cuts — the same
-    tie-break ``argmin`` applies).  Compiled only when numba is importable;
-    selecting it without numba installed is an explicit error, while *auto*
-    detection silently falls back to the numpy tiers.
+    A ``numba.njit`` per-cell loop nest run on each node of the slab (two
+    passes: exact max, then first minimal aggregate count among the
+    epsilon-eligible cuts — the same tie-break ``argmin`` applies).  Compiled
+    only when numba is importable; selecting it without numba installed is
+    an explicit error, while *auto* detection silently falls back to the
+    numpy tiers.
 
 Selection: the ``REPRO_KERNEL`` environment variable (``numpy`` | ``blocked``
 | ``numba`` | ``auto``), overridden per-run by ``repro … --kernel`` (which
@@ -42,6 +53,7 @@ from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "BLOCKED_MIN_SLICES",
+    "SWEEP_BATCH_BYTES",
     "KERNELS",
     "KernelUnavailableError",
     "available_kernels",
@@ -72,6 +84,22 @@ _ROW_BLOCK = 256
 #: cache and the transpose upkeep is pure overhead (measured crossover on
 #: commodity hardware is between |T|=1000 and |T|=1600).
 BLOCKED_MIN_SLICES = 1024
+
+#: Memory budget of the ``numpy`` tier's per-length temporaries.  One length
+#: ``L`` of a chunk of ``c`` nodes materializes ``c * (T - L) * L`` candidate
+#: cuts; the node axis is split into chunks whose temporaries stay within
+#: this many bytes (a single node always runs, whatever its size).  Splitting
+#: the node axis cannot change any float: every node's cells see the same
+#: operations on the same values.
+SWEEP_BATCH_BYTES = 4 * 2**20
+
+#: Bytes the ``numpy`` tier holds per candidate cut: the float64 values, the
+#: int64 counts, the eligibility mask and the int64 masked counts.
+_CELL_BYTES = 8 + 8 + 1 + 8
+
+#: Bytes it holds per interval (start row): the maximum, the chosen cut, its
+#: value and count, the improvement mask and the update indices.
+_ROW_BYTES = 128
 
 
 class KernelUnavailableError(RuntimeError):
@@ -201,26 +229,31 @@ def set_default_kernel(kernel: "str | None") -> str:
 
 
 # --------------------------------------------------------------------------- #
-# numpy tier — the historical anti-diagonal strided sweep
+# numpy tier — the anti-diagonal strided sweep over a slab of nodes
 # --------------------------------------------------------------------------- #
-def _cut_windows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The two strided windows the anti-diagonal sweep reads ``table`` through.
+def _slab(table: np.ndarray) -> np.ndarray:
+    """``table`` as an ``(N, T, T)`` slab: a single ``(T, T)`` table is ``N = 1``."""
+    return table[np.newaxis] if table.ndim == 2 else table
 
-    ``left[i, k] = table[i, i + k]`` — the finalized cells of row ``i`` (the
-    left part of a cut after slice ``i + k``) — and ``right[r, m] =
-    table[r - m, r]`` — the finalized cells above ``(r, r)`` in column ``r``
-    (the right parts, read upwards).  Both are zero-copy views aliasing
-    ``table``, so in-place updates between sweeps are visible immediately.
+
+def _cut_windows(slab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two strided windows the anti-diagonal sweep reads ``slab`` through.
+
+    ``left[n, i, k] = slab[n, i, i + k]`` — the finalized cells of row ``i``
+    (the left part of a cut after slice ``i + k``) — and ``right[n, r, m] =
+    slab[n, r - m, r]`` — the finalized cells above ``(r, r)`` in column
+    ``r`` (the right parts, read upwards).  Both are zero-copy views aliasing
+    ``slab``, so in-place updates between sweeps are visible immediately.
 
     The rectangular hull of either window extends past the underlying buffer;
-    callers must only access the in-bounds slices ``left[:T - L, :L]`` and
-    ``right[L:, :L]`` for an interval length ``L``, which is exactly what
+    callers must only access the in-bounds slices ``left[:, :T - L, :L]`` and
+    ``right[:, L:, :L]`` for an interval length ``L``, which is exactly what
     :func:`temporal_cuts_numpy` does.
     """
-    n = table.shape[0]
-    s0, s1 = table.strides
-    left = as_strided(table, shape=(n, n), strides=(s0 + s1, s1))
-    right = as_strided(table, shape=(n, n), strides=(s0 + s1, -s0))
+    n_nodes, n = slab.shape[:2]
+    sn, s0, s1 = slab.strides
+    left = as_strided(slab, shape=(n_nodes, n, n), strides=(sn, s0 + s1, s1))
+    right = as_strided(slab, shape=(n_nodes, n, n), strides=(sn, s0 + s1, -s0))
     return left, right
 
 
@@ -229,40 +262,45 @@ def temporal_cuts_numpy(
 ) -> None:
     """Apply the optimal temporal cuts to ``best``/``cut``/``count`` in place.
 
-    ``best`` must already hold, for every cell, the better of "no cut" and
-    "spatial cut".  Sweeps interval lengths in increasing order; every
-    candidate read touches only shorter (finalized) intervals.
+    The tables are ``(N, T, T)`` slabs (or one ``(T, T)`` table).  ``best``
+    must already hold, for every cell, the better of "no cut" and "spatial
+    cut".  Sweeps interval lengths in increasing order; every candidate read
+    touches only shorter (finalized) intervals of the same node.  Each length
+    runs over every node at once, in node chunks sized by
+    :data:`SWEEP_BATCH_BYTES`.
     """
-    n_slices = best.shape[0]
-    all_starts = np.arange(n_slices)
+    best, cut, count = _slab(best), _slab(cut), _slab(count)
+    n_nodes, n_slices = best.shape[:2]
     best_left, best_right = _cut_windows(best)
     count_left, count_right = _cut_windows(count)
     for length in range(1, n_slices):
-        starts = all_starts[: n_slices - length]
-        ends = starts + length
         m = n_slices - length
-        # values[i, k] = best[i, i + k] + best[i + k + 1, i + length]; the
-        # right window is read upwards, hence the reversed column slice.
-        values = best_left[:m, :length] + best_right[length:, length - 1 :: -1]
-        counts = count_left[:m, :length] + count_right[length:, length - 1 :: -1]
-        top = values.max(axis=1, keepdims=True)
-        # Among cuts whose pIC ties with the best one, prefer the coarsest
-        # resulting partition (argmin returns the first minimal cut).
-        eligible = values >= top - epsilon
-        k = np.where(eligible, counts, _INT64_MAX).argmin(axis=1)
-        value = values[starts, k]
-        cut_count = counts[starts, k]
-        current = best[starts, ends]
-        current_count = count[starts, ends]
-        improve = (value > current + epsilon) | (
-            (value > current - epsilon) & (cut_count < current_count)
-        )
-        if improve.any():
-            rows = starts[improve]
-            cols = rows + length
-            best[rows, cols] = value[improve]
-            count[rows, cols] = cut_count[improve]
-            cut[rows, cols] = rows + k[improve]
+        chunk = max(1, SWEEP_BATCH_BYTES // (m * (length * _CELL_BYTES + _ROW_BYTES)))
+        for lo in range(0, n_nodes, chunk):
+            hi = min(lo + chunk, n_nodes)
+            # values[n, i, k] = best[n, i, i + k] + best[n, i + k + 1, i + length];
+            # the right window is read upwards, hence the reversed column slice.
+            values = best_left[lo:hi, :m, :length] + best_right[lo:hi, length:, length - 1 :: -1]
+            counts = count_left[lo:hi, :m, :length] + count_right[lo:hi, length:, length - 1 :: -1]
+            top = values.max(axis=-1, keepdims=True)
+            # Among cuts whose pIC ties with the best one, prefer the coarsest
+            # resulting partition (argmin returns the first minimal cut).
+            eligible = values >= top - epsilon
+            k = np.where(eligible, counts, _INT64_MAX).argmin(axis=-1)[..., np.newaxis]
+            value = np.take_along_axis(values, k, axis=-1)[..., 0]
+            cut_count = np.take_along_axis(counts, k, axis=-1)[..., 0]
+            current = np.diagonal(best[lo:hi], offset=length, axis1=1, axis2=2)
+            current_count = np.diagonal(count[lo:hi], offset=length, axis1=1, axis2=2)
+            improve = (value > current + epsilon) | (
+                (value > current - epsilon) & (cut_count < current_count)
+            )
+            if improve.any():
+                nodes, rows = np.nonzero(improve)
+                nodes += lo
+                cols = rows + length
+                best[nodes, rows, cols] = value[improve]
+                count[nodes, rows, cols] = cut_count[improve]
+                cut[nodes, rows, cols] = rows + k[..., 0][improve]
 
 
 # --------------------------------------------------------------------------- #
@@ -277,6 +315,7 @@ def temporal_cuts_blocked(
 ) -> None:
     """Cache-blocked variant of :func:`temporal_cuts_numpy` (bit-identical).
 
+    Runs node by node over an ``(N, T, T)`` slab (or one ``(T, T)`` table).
     Maintains C-contiguous transposes of ``best``/``count`` so the right-hand
     operand ``best[i + k + 1, i + L]`` is read as the row-contiguous window
     ``bestT[i + L, i + 1 + k]`` instead of a negative-stride column walk, and
@@ -286,6 +325,14 @@ def temporal_cuts_blocked(
     max / eligibility / argmin tie-break operate on those same values — so
     every table cell comes out bit-for-bit identical.
     """
+    for node in zip(_slab(best), _slab(cut), _slab(count)):
+        _blocked_node(*node, epsilon, block)
+
+
+def _blocked_node(
+    best: np.ndarray, cut: np.ndarray, count: np.ndarray, epsilon: float, block: int
+) -> None:
+    """The blocked sweep of one node's ``(T, T)`` tables."""
     n_slices = best.shape[0]
     if n_slices <= 1:
         return
@@ -341,14 +388,15 @@ def temporal_cuts_blocked(
 def temporal_cuts_numba(
     best: np.ndarray, cut: np.ndarray, count: np.ndarray, epsilon: float
 ) -> None:
-    """``numba.njit`` per-cell sweep (bit-identical; requires numba)."""
+    """``numba.njit`` per-cell sweep, node by node (bit-identical; requires numba)."""
     if not numba_available():
         raise KernelUnavailableError(
             "kernel 'numba' requested but numba is not importable; "
             "install numba or use --kernel blocked"
         )
     sweep = _numba_sweep_compiled()
-    sweep(best, cut, count, float(epsilon))
+    for node in zip(_slab(best), _slab(cut), _slab(count)):
+        sweep(*node, float(epsilon))
 
 
 _SWEEPS = {
@@ -365,5 +413,8 @@ def temporal_cuts(
     epsilon: float,
     kernel: "str | None" = None,
 ) -> None:
-    """Run the temporal-cut sweep with the selected kernel tier (in place)."""
-    _SWEEPS[resolve_kernel(kernel, n_slices=best.shape[0])](best, cut, count, epsilon)
+    """Run the temporal-cut sweep with the selected kernel tier (in place).
+
+    ``best``/``cut``/``count`` are ``(N, T, T)`` slabs or one ``(T, T)`` table.
+    """
+    _SWEEPS[resolve_kernel(kernel, n_slices=best.shape[-1])](best, cut, count, epsilon)

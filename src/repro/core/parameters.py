@@ -8,7 +8,10 @@ significant values".  This module provides:
   values (the data behind Ocelotl's quality curves);
 * :func:`find_significant_parameters` — the dichotomic search for the ``p``
   values at which the optimal partition actually changes, so the interactive
-  slider only exposes distinct representations.
+  slider only exposes distinct representations;
+* :func:`significant_points` — the same search, returning the quality of the
+  partition it solved at each significant value (the sweep's curve without a
+  second DP per value).
 """
 
 from __future__ import annotations
@@ -22,7 +25,12 @@ from .microscopic import MicroscopicModel
 from .operators import AggregationOperator
 from .spatiotemporal import SpatiotemporalAggregator
 
-__all__ = ["QualityPoint", "quality_curve", "find_significant_parameters"]
+__all__ = [
+    "QualityPoint",
+    "quality_curve",
+    "find_significant_parameters",
+    "significant_points",
+]
 
 
 @dataclass(frozen=True)
@@ -92,18 +100,37 @@ def find_significant_parameters(
     This reproduces the behaviour of Ocelotl's parameter slider: the analyst
     is only offered values that produce genuinely different overviews.
     """
+    points = significant_points(aggregator, operator, tolerance, max_depth)
+    return [point.p for point in points]
+
+
+def significant_points(
+    aggregator: "SpatiotemporalAggregator | MicroscopicModel",
+    operator: "AggregationOperator | str | None" = None,
+    tolerance: float = 1e-9,
+    max_depth: int = 12,
+) -> list[QualityPoint]:
+    """The search of :func:`find_significant_parameters`, with its partitions' quality.
+
+    One point per significant value, in increasing ``p`` order, carrying the
+    unrounded size, gain and loss of the optimal partition the search solved
+    at that value — equal to ``quality_curve(aggregator, ps=significant)``
+    without running the DP again for every value.
+    """
     if isinstance(aggregator, MicroscopicModel):
         aggregator = SpatiotemporalAggregator(aggregator, operator=operator)
 
-    signature_cache: dict[float, tuple[float, float, int]] = {}
+    solved: dict[float, QualityPoint] = {}
 
     def signature(p: float) -> tuple[float, float, int]:
-        cached = signature_cache.get(p)
-        if cached is None:
+        point = solved.get(p)
+        if point is None:
             partition = aggregator.run(p)
-            cached = (round(partition.gain(), 9), round(partition.loss(), 9), partition.size)
-            signature_cache[p] = cached
-        return cached
+            point = QualityPoint(
+                p=p, size=partition.size, gain=partition.gain(), loss=partition.loss()
+            )
+            solved[p] = point
+        return (round(point.gain, 9), round(point.loss, 9), point.size)
 
     boundaries: set[float] = {0.0, 1.0}
 
@@ -120,11 +147,11 @@ def find_significant_parameters(
     explore(0.0, 1.0, 0)
 
     # Keep one representative per distinct signature, in increasing p order.
-    significant: list[float] = []
+    significant: list[QualityPoint] = []
     last_signature: tuple[float, float, int] | None = None
     for p in sorted(boundaries):
         sig = signature(p)
         if sig != last_signature:
-            significant.append(p)
+            significant.append(solved[p])
             last_signature = sig
     return significant

@@ -14,25 +14,40 @@ optimal partition of the area ``(S_k, T_(i,j))`` together with a *cut* value:
 * ``cut[i, j] == c`` with ``i <= c < j`` — temporal cut after slice ``c``.
 
 The recursion over children nested in the iteration over cells reproduces
-Algorithm 1; instead of visiting the ``O(|T|^2)`` cells of a node one by one,
-the dynamic program sweeps the table *anti-diagonal by anti-diagonal* (all
-intervals of the same length at once): strided views expose, for every start
-``i`` simultaneously, the candidate values ``best[i, i+k] + best[i+k+1, j]``
-of every cut position ``k``, so one interval length costs a constant number
-of vectorized operations instead of ``O(|T|)`` Python-level iterations.  The
-arithmetic is exactly the per-cell recurrence — same additions, same maxima,
-same tie-breaking — so the result is bit-for-bit identical to the reference
+Algorithm 1, reorganized in two ways that keep the arithmetic of every cell
+exactly the per-cell recurrence — same additions, same maxima, same
+tie-breaking — so the result is bit-for-bit identical to the reference
 per-cell implementation (kept as :meth:`compute_tables_reference` and checked
-by the property tests), while the overall ``O(|S| |T|^3)`` work runs at numpy
-speed.  The sweep itself is pluggable (:mod:`repro.core.kernels`): the
-historical ``numpy`` tier, a cache-``blocked`` transpose-buffered tier and an
+by the property tests):
+
+* **One sweep per height, not per node.**  A node only reads its children's
+  final tables, so all nodes of one *height* (leaves are height 0, a parent
+  is one above its tallest child) are independent.  Their base tables (the
+  better of "no cut" and "spatial cut", built node by node) are stacked into
+  ``(N, T, T)`` slabs and the temporal-cut recurrence runs once over the
+  whole slab: a balanced hierarchy costs ``depth + 1`` sweeps instead of
+  ``|S|``.
+* **Anti-diagonal sweeps.**  Instead of visiting the ``O(|T|^2)`` cells one
+  by one, a sweep handles all intervals of the same length at once: strided
+  views expose, for every node and every start ``i`` simultaneously, the
+  candidate values ``best[n, i, i+k] + best[n, i+k+1, j]`` of every cut
+  position ``k``, so one interval length costs a constant number of
+  vectorized operations for the whole height.
+
+The ``(nodes, starts, cuts)`` temporaries of one length are bounded by
+:data:`repro.core.kernels.SWEEP_BATCH_BYTES` (the node axis is split into
+chunks that fit), so batching adds at most that budget to the memory of the
+tables themselves.  The sweep itself is pluggable (:mod:`repro.core.kernels`):
+the ``numpy`` tier, a cache-``blocked`` transpose-buffered tier and an
 optional compiled ``numba`` tier all evaluate the same recurrence and return
 bit-identical tables — selected via ``REPRO_KERNEL`` / ``--kernel``.
 
 Independent hierarchy subtrees only interact at their common ancestors, so
 the per-subtree table computations are embarrassingly parallel; passing
-``jobs > 1`` distributes them over a process pool and merges the per-subtree
-results in the parent (exposed as ``repro analyze --jobs``).
+``jobs > 1`` distributes them over a process pool (each worker runs the same
+height-batched routine on its subtree) and merges the per-subtree results in
+the parent, whose remaining ancestors are batched by height the same way
+(exposed as ``repro analyze --jobs``).
 
 The optimal partition is recovered by replaying the cuts from the root and
 the whole time span.
@@ -101,6 +116,11 @@ class NodeTables:
     count: np.ndarray
 
 
+def _no_cut(n_slices: int) -> np.ndarray:
+    """The "no cut" default cut table: ``j`` on the upper triangle, 0 below."""
+    return np.triu(np.arange(n_slices, dtype=np.int64))
+
+
 def _find_node(root: HierarchyNode, index: int) -> HierarchyNode:
     for node in root.iter_subtree("post"):
         if node.index == index:
@@ -132,8 +152,7 @@ def _subtree_worker(p: float, node_index: int) -> dict[int, NodeTables]:
     assert aggregator is not None, "worker used before _init_worker ran"
     subtree_root = _find_node(aggregator.model.hierarchy.root, node_index)
     tables: dict[int, NodeTables] = {}
-    for node in subtree_root.iter_subtree("post"):
-        tables[node.index] = aggregator._node_tables(node, p, tables)
+    aggregator._solve(list(subtree_root.iter_subtree("post")), p, tables)
     return tables
 
 
@@ -209,7 +228,6 @@ class SpatiotemporalAggregator:
         self._epsilon = self.EPSILON if epsilon is None else float(epsilon)
         self._jobs = jobs
         self._kernel = resolve_kernel(kernel, n_slices=model.n_slices)
-        self._triu: "tuple[np.ndarray, np.ndarray] | None" = None
 
     # ------------------------------------------------------------------ #
     # Accessors
@@ -232,19 +250,23 @@ class SpatiotemporalAggregator:
     # ------------------------------------------------------------------ #
     # Dynamic program
     # ------------------------------------------------------------------ #
-    def _node_base_tables(
-        self, node: HierarchyNode, p: float, tables: Mapping[int, NodeTables]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """No-cut pIC, cut and count tables of ``node``, spatial cut applied."""
-        n_slices = self._model.n_slices
-        if self._triu is None:
-            self._triu = np.triu_indices(n_slices)
-        upper_i, upper_j = self._triu
+    def _fill_base_tables(
+        self,
+        node: HierarchyNode,
+        p: float,
+        tables: Mapping[int, NodeTables],
+        best: np.ndarray,
+        cut: np.ndarray,
+        count: np.ndarray,
+    ) -> None:
+        """Write the no-cut tables of ``node``, spatial cut applied, in place.
+
+        ``best``/``cut``/``count`` are ``(T, T)`` buffers; ``cut`` and
+        ``count`` must already hold the no-cut defaults (:func:`_no_cut`
+        and ones).
+        """
         gain, loss = self._stats.tables(node)
-        best = p * gain - (1.0 - p) * loss
-        cut = np.full((n_slices, n_slices), 0, dtype=np.int64)
-        cut[upper_i, upper_j] = upper_j  # "no cut" default
-        count = np.ones((n_slices, n_slices), dtype=np.int64)
+        np.subtract(p * gain, (1.0 - p) * loss, out=best)
 
         if node.children:
             children_sum = np.zeros_like(best)
@@ -255,18 +277,40 @@ class SpatiotemporalAggregator:
             spatial_better = (children_sum > best + self._epsilon) | (
                 (children_sum > best - self._epsilon) & (children_count < count)
             )
-            best = np.where(spatial_better, children_sum, best)
-            cut = np.where(spatial_better, SPATIAL_CUT, cut)
-            count = np.where(spatial_better, children_count, count)
-        return best, cut, count
+            np.copyto(best, children_sum, where=spatial_better)
+            np.copyto(cut, SPATIAL_CUT, where=spatial_better)
+            np.copyto(count, children_count, where=spatial_better)
 
-    def _node_tables(
-        self, node: HierarchyNode, p: float, tables: Mapping[int, NodeTables]
-    ) -> NodeTables:
-        """Optimal tables of one node given its children's tables."""
-        best, cut, count = self._node_base_tables(node, p, tables)
-        temporal_cuts(best, cut, count, self._epsilon, kernel=self._kernel)
-        return NodeTables(pic=best, cut=cut, count=count)
+    def _solve(
+        self, nodes: Sequence[HierarchyNode], p: float, tables: dict[int, NodeTables]
+    ) -> None:
+        """Add the optimal tables of ``nodes`` to ``tables``, one sweep per height.
+
+        ``nodes`` is in post-order and every child of a node is either listed
+        before it or already in ``tables``.  Heights count from the nodes
+        whose children are all in ``tables`` (leaves, or the ancestors of
+        finished subtrees), so every height only reads final tables.
+        """
+        heights: dict[int, int] = {}
+        levels: list[list[HierarchyNode]] = []
+        for node in nodes:
+            height = 1 + max((heights.get(c.index, -1) for c in node.children), default=-1)
+            heights[node.index] = height
+            if height == len(levels):
+                levels.append([])
+            levels[height].append(node)
+        n_slices = self._model.n_slices
+        no_cut = _no_cut(n_slices)
+        for level in levels:
+            shape = (len(level), n_slices, n_slices)
+            best = np.empty(shape)
+            cut = np.broadcast_to(no_cut, shape).copy()
+            count = np.ones(shape, dtype=np.int64)
+            for slot, node in enumerate(level):
+                self._fill_base_tables(node, p, tables, best[slot], cut[slot], count[slot])
+            temporal_cuts(best, cut, count, self._epsilon, kernel=self._kernel)
+            for slot, node in enumerate(level):
+                tables[node.index] = NodeTables(pic=best[slot], cut=cut[slot], count=count[slot])
 
     def compute_tables(self, p: float, jobs: int | None = None) -> Mapping[int, NodeTables]:
         """Run Algorithm 1 and return the per-node pIC / cut tables.
@@ -281,8 +325,7 @@ class SpatiotemporalAggregator:
         if jobs is not None and jobs > 1:
             return self._compute_tables_parallel(p, int(jobs))
         tables: dict[int, NodeTables] = {}
-        for node in self._model.hierarchy.iter_nodes("post"):
-            tables[node.index] = self._node_tables(node, p, tables)
+        self._solve(list(self._model.hierarchy.iter_nodes("post")), p, tables)
         return tables
 
     def _compute_tables_parallel(self, p: float, jobs: int) -> Mapping[int, NodeTables]:
@@ -307,11 +350,14 @@ class SpatiotemporalAggregator:
                 f"{len(frontier)} subtrees in flight); rerun with jobs=1 for a "
                 "serial aggregation of the same partition"
             ) from exc
-        # The remaining nodes are the frontier's strict ancestors; post-order
-        # guarantees children are available when their parent is reached.
-        for node in self._model.hierarchy.iter_nodes("post"):
-            if node.index not in tables:
-                tables[node.index] = self._node_tables(node, p, tables)
+        # The remaining nodes are the frontier's strict ancestors; their
+        # frontier children are all in ``tables`` already.
+        ancestors = [
+            node
+            for node in self._model.hierarchy.iter_nodes("post")
+            if node.index not in tables
+        ]
+        self._solve(ancestors, p, tables)
         return tables
 
     def compute_tables_reference(self, p: float) -> Mapping[int, NodeTables]:
@@ -326,9 +372,13 @@ class SpatiotemporalAggregator:
             raise ValueError(f"p must be in [0, 1], got {p}")
         n_slices = self._model.n_slices
         epsilon = self._epsilon
+        no_cut = _no_cut(n_slices)
         tables: dict[int, NodeTables] = {}
         for node in self._model.hierarchy.iter_nodes("post"):
-            best, cut, count = self._node_base_tables(node, p, tables)
+            best = np.empty((n_slices, n_slices))
+            cut = no_cut.copy()
+            count = np.ones((n_slices, n_slices), dtype=np.int64)
+            self._fill_base_tables(node, p, tables, best, cut, count)
             # Temporal cuts: rows from the last slice upwards, columns left to
             # right, so that every sub-interval referenced is already optimal.
             for i in range(n_slices - 1, -1, -1):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from ..core.microscopic import MicroscopicModel
-from ..core.parameters import find_significant_parameters, quality_curve
+from ..core.parameters import quality_curve, significant_points
 from ..core.spatiotemporal import SpatiotemporalAggregator
 from ..obs.tracing import span
 from ..store.format import StoreError, StoreIntegrityError, StoreRewrittenError
@@ -419,8 +419,9 @@ class AnalysisEngine:
 
         With explicit ``ps``, evaluates the quality curve at those
         trade-offs; without, runs the dichotomic search of
-        :func:`~repro.core.parameters.find_significant_parameters` and
-        reports one representative ``p`` per distinct overview.  Tables are
+        :func:`~repro.core.parameters.significant_points` and reports one
+        representative ``p`` per distinct overview, with the quality of the
+        partition the search solved there.  Tables are
         shared across the whole sweep through the engine's cached aggregator.
         A windowed request sweeps over the corresponding window of the
         streaming model instead of the whole trace.
@@ -447,11 +448,13 @@ class AnalysisEngine:
                 )
                 window_block = window_section(stream, a, b, request.window)
             significant: Optional[Sequence[float]] = None
-            ps: Optional[Sequence[float]] = request.ps
-            if ps is None:
-                significant = find_significant_parameters(aggregator)
-                ps = significant
-            points = quality_curve(aggregator, ps=list(ps))
+            if request.ps is None:
+                # The search already solved every significant p: its
+                # partitions are the curve.
+                points = significant_points(aggregator)
+                significant = [point.p for point in points]
+            else:
+                points = quality_curve(aggregator, ps=list(request.ps))
             trace_block = self._trace_block()
         return sweep_payload(
             trace_block, request.params(), significant, points, window=window_block

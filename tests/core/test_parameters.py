@@ -5,7 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.parameters import find_significant_parameters, quality_curve
+from repro.core.parameters import (
+    find_significant_parameters,
+    quality_curve,
+    significant_points,
+)
 from repro.core.spatiotemporal import SpatiotemporalAggregator
 
 
@@ -69,3 +73,12 @@ class TestSignificantParameters:
         )
         values = find_significant_parameters(model, max_depth=4)
         assert values == [0.0]
+
+
+class TestSignificantPoints:
+    def test_points_equal_the_curve_at_the_significant_values(self, random_model):
+        aggregator = SpatiotemporalAggregator(random_model)
+        points = significant_points(aggregator, max_depth=6)
+        values = find_significant_parameters(aggregator, max_depth=6)
+        assert [point.p for point in points] == values
+        assert points == quality_curve(aggregator, ps=values)

@@ -136,6 +136,30 @@ class TestEngineSweep:
         with pytest.raises(PipelineError, match="ps must be a list of numbers"):
             engine.run_sweep(SweepRequest(ps=("fast",), slices=12))  # type: ignore[arg-type]
 
+    def test_search_sweep_reuses_the_searched_partitions(self, trace, monkeypatch):
+        from repro.core.parameters import find_significant_parameters, quality_curve
+        from repro.core.spatiotemporal import SpatiotemporalAggregator
+
+        engine = AnalysisEngine(trace)
+        aggregator = engine.aggregator(12, "mean")
+        significant = find_significant_parameters(aggregator)
+        expected = quality_curve(aggregator, ps=significant)
+
+        runs = []
+        original = SpatiotemporalAggregator.run
+        monkeypatch.setattr(
+            SpatiotemporalAggregator,
+            "run",
+            lambda self, p, jobs=None: runs.append(p) or original(self, p, jobs),
+        )
+        payload = engine.run_sweep(SweepRequest(slices=12))
+        # One DP per probed p: the curve adds none on top of the search.
+        assert len(runs) == len(set(runs))
+        assert payload["significant"] == significant
+        assert [(q["p"], q["size"], q["gain"], q["loss"]) for q in payload["points"]] == [
+            (q.p, q.size, q.gain, q.loss) for q in expected
+        ]
+
     def test_sweep_window_and_operator(self, trace):
         engine = AnalysisEngine(trace)
         payload = engine.run_sweep(

@@ -7,6 +7,12 @@ raw sweep level (random upper-triangular tables) up through tables,
 partitions and serialized analysis payloads.  On machines with numba the
 compiled tier joins the differential automatically.
 
+The height-batched sweep — one kernel call over the ``(N, T, T)`` slab of
+every node of one hierarchy height — is checked against the per-cell
+reference on irregular hierarchies (leaves at different depths, single-child
+chains, a lone root) down to ``T = 1``, serially and through the process
+pool, and at the sweep level against one call per node.
+
 A second family checks the zero-copy model path: a store's persisted,
 ``np.load(mmap_mode="r")``-backed model must be bit-identical to the
 directly discretized model, and ``window`` / ``extend`` / ``from_columns``
@@ -16,23 +22,28 @@ in-memory.
 
 from __future__ import annotations
 
+import itertools
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core.hierarchy import Hierarchy
+from repro.core import kernels
+from repro.core.hierarchy import Hierarchy, HierarchyNode
 from repro.core.kernels import (
     available_kernels,
+    temporal_cuts,
     temporal_cuts_blocked,
     temporal_cuts_numba,
     temporal_cuts_numpy,
     numba_available,
 )
-from repro.core.microscopic import MicroscopicModel
+from repro.core.microscopic import MicroscopicModel, MicroscopicModelError
 from repro.core.operators import available_operators
 from repro.core.spatiotemporal import SpatiotemporalAggregator
 from repro.pipeline.payloads import (
@@ -194,6 +205,115 @@ class TestKernelTiersEndToEnd:
             assert payload == payloads[0], tier
 
 
+def irregular_model_strategy(max_leaves: int = 8, max_slices: int = 8, max_states: int = 3):
+    """Random models over random trees, not only balanced ones.
+
+    A drawn tree shape is a leaf (``None``) or a list of one to three
+    subtrees, so leaves sit at different depths, one-element lists make
+    single-child chains, and a bare ``None`` is a hierarchy whose root is its
+    only leaf.  ``T`` goes down to a single slice.
+    """
+    shapes = st.recursive(
+        st.none(), lambda sub: st.lists(sub, min_size=1, max_size=3), max_leaves=max_leaves
+    )
+
+    def tree(shape) -> Hierarchy:
+        names = (f"n{i}" for i in itertools.count())
+
+        def node(sub) -> HierarchyNode:
+            if sub is None:
+                return HierarchyNode(next(names))
+            return HierarchyNode(next(names), [node(child) for child in sub])
+
+        return Hierarchy(node(shape))
+
+    @st.composite
+    def build(draw):
+        hierarchy = tree(draw(shapes))
+        n_slices = draw(st.integers(min_value=1, max_value=max_slices))
+        n_states = draw(st.integers(min_value=1, max_value=max_states))
+        raw = draw(
+            arrays(
+                dtype=np.float64,
+                shape=(hierarchy.n_leaves, n_slices, n_states),
+                elements=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+            )
+        )
+        totals = raw.sum(axis=2, keepdims=True)
+        rho = raw / np.where(totals > 1.0, totals, 1.0)
+        states = StateRegistry([f"s{i}" for i in range(n_states)])
+        return MicroscopicModel.from_proportions(rho, hierarchy, states)
+
+    return build()
+
+
+def _assert_same_tables(expected, actual, label=""):
+    assert expected.keys() == actual.keys()
+    for key in expected:
+        assert np.array_equal(expected[key].pic, actual[key].pic), (label, key)
+        assert np.array_equal(expected[key].cut, actual[key].cut), (label, key)
+        assert np.array_equal(expected[key].count, actual[key].count), (label, key)
+
+
+class TestHeightBatchedSweep:
+    """One sweep per hierarchy height equals the per-cell Algorithm 1."""
+
+    @_SETTINGS
+    @given(
+        model=irregular_model_strategy(),
+        operator=st.sampled_from(list(available_operators())),
+        p=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+    )
+    def test_batched_tables_equal_reference_for_every_operator_and_tier(
+        self, model, operator, p
+    ):
+        stats = SpatiotemporalAggregator(model, operator=operator).stats
+        reference = SpatiotemporalAggregator(model, stats=stats).compute_tables_reference(p)
+        for tier in TIERS:
+            batched = SpatiotemporalAggregator(model, stats=stats, kernel=tier)
+            _assert_same_tables(reference, batched.compute_tables(p), tier)
+
+    @settings(max_examples=5, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        model=irregular_model_strategy(max_leaves=10),
+        p=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+    )
+    def test_parallel_subtrees_equal_serial(self, model, p):
+        aggregator = SpatiotemporalAggregator(model)
+        _assert_same_tables(
+            aggregator.compute_tables(p, jobs=1), aggregator.compute_tables(p, jobs=3)
+        )
+
+    @_SETTINGS
+    @given(data=sweep_inputs(), epsilon=st.sampled_from([1e-9, 1e-6, 1e-3]))
+    def test_two_dimensional_input_is_a_one_node_slab(self, data, epsilon):
+        best, count = data
+        flat = _run_sweep(temporal_cuts_numpy, best, count, epsilon)
+        slab = _run_sweep(temporal_cuts_numpy, best[np.newaxis], count[np.newaxis], epsilon)
+        for two_d, one_node in zip(flat, slab):
+            assert np.array_equal(two_d, one_node[0])
+
+    @_SETTINGS
+    @given(
+        tables=st.lists(sweep_inputs(max_size=8), min_size=2, max_size=4),
+        epsilon=st.sampled_from([1e-9, 1e-3]),
+        budget=st.sampled_from([0, 200, kernels.SWEEP_BATCH_BYTES]),
+    )
+    def test_slab_sweep_equals_one_sweep_per_node(self, tables, epsilon, budget):
+        # Crop the drawn tables to the smallest so they stack into a slab; a
+        # budget of 0 or 200 bytes forces node chunks inside every length.
+        size = min(b.shape[0] for b, _ in tables)
+        best = np.stack([b[:size, :size] for b, _ in tables])
+        count = np.stack([c[:size, :size] for _, c in tables])
+        for tier in TIERS:
+            with mock.patch.object(kernels, "SWEEP_BATCH_BYTES", budget):
+                slab = _run_sweep(temporal_cuts, best, count, epsilon, kernel=tier)
+            for n in range(len(tables)):
+                single = _run_sweep(temporal_cuts_numpy, best[n], count[n], epsilon)
+                for whole, one in zip(slab, single):
+                    assert np.array_equal(whole[n], one), tier
+
+
 class TestMmapModelParity:
     """mmap-backed store models behave bit-identically to in-memory ones."""
 
@@ -295,8 +415,15 @@ class TestMmapModelParity:
                 ),
                 dtype=np.int64,
             )
+            try:
+                ext_direct = direct.extend(starts, ends, resource_ids, state_ids)
+            except MicroscopicModelError:
+                # Drawn rows may overlap on one resource and overfill a
+                # slice; that input is invalid, and both models must reject it.
+                with pytest.raises(MicroscopicModelError):
+                    mapped.extend(starts, ends, resource_ids, state_ids)
+                return
             ext_mapped = mapped.extend(starts, ends, resource_ids, state_ids)
-            ext_direct = direct.extend(starts, ends, resource_ids, state_ids)
             assert np.array_equal(ext_mapped.durations, ext_direct.durations)
             assert np.array_equal(
                 ext_mapped.slicing.edges, ext_direct.slicing.edges

@@ -57,7 +57,7 @@ def _post(server, path, body):
         method="POST",
     )
     try:
-        with urllib.request.urlopen(request) as rsp:
+        with urllib.request.urlopen(request, timeout=60) as rsp:
             return rsp.status, json.loads(rsp.read())
     except urllib.error.HTTPError as exc:
         return exc.code, json.loads(exc.read())
