@@ -24,15 +24,28 @@ the same floating-point operations on the same prefix values, their results
 are bit-for-bit identical (a property the test suite asserts).
 
 The resulting ``(T, T)`` gain and loss tables (upper triangle valid) are
-cached per node and shared by the spatial, temporal and spatiotemporal
-aggregators as well as by the partition quality metrics; the scalar path
-serves point queries (partition scoring, brute-force oracles, viz tooltips)
-without materializing any quadratic table.
+stored as one ``(N, T, T)`` slab pair per hierarchy height (the
+:class:`~repro.core.hierarchy.HeightPlan` of the model's hierarchy), filled
+lazily one node row at a time, so Algorithm 1 reads a whole height's tables
+as one array while :meth:`IntervalStatistics.tables` still hands out one
+node's ``(T, T)`` views.  They are shared by the spatial, temporal and
+spatiotemporal aggregators as well as by the partition quality metrics
+(:meth:`IntervalStatistics.gain_loss_totals` gathers a partition's entries
+from the slabs in one pass); the scalar path serves point queries
+(partition scoring of nodes without tables, brute-force oracles, viz
+tooltips) without materializing any quadratic table.
+
+A row is published (marked filled) only after it is fully written, and the
+slab of a height is allocated under a lock, so threads sharing one
+statistics engine never read a half-written row: a thread that finds a row
+unpublished computes it itself (identical bytes).
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -131,7 +144,20 @@ class IntervalStatistics:
         self._interval_lengths = indices[None, :] - indices[:, None] + 1
 
         self._prefix_cache: dict[int, NodePrefixes] = {}
-        self._cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # Gain/loss slabs, one (N, T, T) pair per height, allocated on first
+        # use under the lock; a node's row counts only once it is published.
+        self._plan = model.hierarchy.height_plan
+        n_heights = len(self._plan.levels)
+        self._gain_slabs: list["np.ndarray | None"] = [None] * n_heights
+        self._loss_slabs: list["np.ndarray | None"] = [None] * n_heights
+        # node index -> (gain, loss) row views, and the same as a mask: both
+        # set once the rows are written.
+        self._published: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._filled = np.zeros(len(self._plan.height), dtype=bool)
+        self._heights = np.array(self._plan.height, dtype=np.intp)
+        self._slots = np.array(self._plan.slot, dtype=np.intp)
+        self._complete = [False] * n_heights
+        self._slab_lock = threading.Lock()
         self._point_cache: dict[tuple[int, int, int], tuple[float, float]] = {}
 
         # Optional quantities beyond the paper's six sums, supplied only when
@@ -298,11 +324,55 @@ class IntervalStatistics:
         """``(gain, loss)`` tables of shape ``(T, T)`` for ``node``.
 
         Only the upper triangle (``j >= i``) is meaningful; the lower triangle
-        is zero.  Results are cached per node.
+        is zero.  Results are cached: the two arrays are views of the node's
+        rows in its height's slabs.
         """
-        cached = self._cache.get(node.index)
-        if cached is not None:
-            return cached
+        views = self._published.get(node.index)
+        if views is None:
+            views = self._fill(node, self._plan.height[node.index], self._plan.slot[node.index])
+        return views
+
+    def height_tables(
+        self, height: int, nodes: Sequence[HierarchyNode]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(N, T, T)`` gain and loss slabs of ``height``.
+
+        Row ``n`` belongs to the node in slot ``n`` of the height (see
+        :class:`~repro.core.hierarchy.HeightPlan`).  The rows of ``nodes``,
+        all of that height, are filled first.
+        """
+        if not self._complete[height]:
+            for node in nodes:
+                if node.index not in self._published:
+                    self._fill(node, height, self._plan.slot[node.index])
+            self._complete[height] = len(nodes) == len(self._plan.levels[height].nodes)
+        return self._gain_slabs[height], self._loss_slabs[height]
+
+    def _fill(
+        self, node: HierarchyNode, height: int, slot: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Compute and publish the slab rows of ``node``.
+
+        The rows are computed aside and copied in whole before the node is
+        published, so a concurrent reader of a published row never sees it
+        half-written; two threads filling the same row write identical bytes.
+        """
+        if self._gain_slabs[height] is None:
+            with self._slab_lock:
+                if self._gain_slabs[height] is None:
+                    shape = (len(self._plan.levels[height].nodes), self.n_slices, self.n_slices)
+                    self._loss_slabs[height] = np.empty(shape)
+                    self._gain_slabs[height] = np.empty(shape)
+        gain, loss = self._node_tables(node)
+        views = (self._gain_slabs[height][slot], self._loss_slabs[height][slot])
+        views[0][...] = gain
+        views[1][...] = loss
+        views = self._published.setdefault(node.index, views)
+        self._filled[node.index] = True
+        return views
+
+    def _node_tables(self, node: HierarchyNode) -> tuple[np.ndarray, np.ndarray]:
+        """Freshly computed ``(gain, loss)`` tables of ``node``, lower triangle zero."""
         n_slices = self.n_slices
         if n_slices <= TABLE_BLOCK_ROWS:
             sums = self.interval_sums(node)
@@ -320,22 +390,19 @@ class IntervalStatistics:
                 gain[lo:hi] = block_gain
                 loss[lo:hi] = block_loss
         lower = ~np.triu(np.ones_like(gain, dtype=bool))
-        gain = np.where(lower, 0.0, gain)
-        loss = np.where(lower, 0.0, loss)
-        self._cache[node.index] = (gain, loss)
-        return gain, loss
+        return np.where(lower, 0.0, gain), np.where(lower, 0.0, loss)
 
     def gain_loss_at(self, node: HierarchyNode, i: int, j: int) -> tuple[float, float]:
         """``(gain, loss)`` of the single aggregate ``(node, T_(i,j))`` in O(1).
 
-        Uses the cached ``(T, T)`` tables when they already exist; otherwise
+        Uses the node's ``(T, T)`` tables when they already exist; otherwise
         evaluates the operator on the O(1) scalar sums, which is bit-for-bit
         identical to the corresponding table entry.
         """
-        cached = self._cache.get(node.index)
-        if cached is not None:
+        views = self._published.get(node.index)
+        if views is not None:
             self._check_interval(i, j)
-            return float(cached[0][i, j]), float(cached[1][i, j])
+            return float(views[0][i, j]), float(views[1][i, j])
         key = (node.index, i, j)
         point = self._point_cache.get(key)
         if point is None:
@@ -344,6 +411,34 @@ class IntervalStatistics:
             point = (float(gain), float(loss))
             self._point_cache[key] = point
         return point
+
+    def gain_loss_totals(self, aggregates: Sequence) -> tuple[float, float]:
+        """Total ``(gain, loss)`` of ``aggregates`` (objects with ``node``, ``i``, ``j``).
+
+        Equal, bit for bit, to summing :meth:`gain_loss_at` over the
+        aggregates in their order with the builtin ``sum``: the entries of
+        nodes whose tables exist are gathered from the slabs, one indexing
+        call per height, and the others take the O(1) point path.
+        """
+        index = np.array([a.node.index for a in aggregates], dtype=np.intp)
+        starts = np.array([a.i for a in aggregates], dtype=np.intp)
+        ends = np.array([a.j for a in aggregates], dtype=np.intp)
+        gains = np.zeros(len(index))
+        losses = np.zeros(len(index))
+        heights = self._heights[index]
+        slots = self._slots[index]
+        gathered = self._filled[index] & (ends < self.n_slices)
+        for height in np.unique(heights[gathered]).tolist():
+            at = np.flatnonzero(gathered & (heights == height))
+            cells = (slots[at], starts[at], ends[at])
+            gains[at] = self._gain_slabs[height][cells]
+            losses[at] = self._loss_slabs[height][cells]
+        for position in np.flatnonzero(~gathered).tolist():
+            aggregate = aggregates[position]
+            gains[position], losses[position] = self.gain_loss_at(
+                aggregate.node, aggregate.i, aggregate.j
+            )
+        return sum(gains.tolist()), sum(losses.tolist())
 
     def gain(self, node: HierarchyNode, i: int, j: int) -> float:
         """Gain of the aggregate ``(node, T_(i,j))``."""

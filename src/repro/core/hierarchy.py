@@ -13,15 +13,23 @@ contiguous range of leaf indices** ``[leaf_start, leaf_end)``.  This property
 is what lets the aggregation algorithms compute node-level sums as
 differences of prefix sums over the resource axis (see
 :mod:`repro.core.criteria`).
+
+A frozen hierarchy also carries its :class:`HeightPlan`: the nodes grouped
+by *height* (leaves are height 0, a parent is one above its tallest child),
+which is the unit the gain/loss tables and the Algorithm 1 tables are
+stored and computed in — one ``(N, T, T)`` slab per height.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
+import numpy as np
 
-__all__ = ["HierarchyNode", "Hierarchy", "HierarchyError"]
+
+__all__ = ["HierarchyNode", "Hierarchy", "HierarchyError", "HeightLevel", "HeightPlan"]
 
 
 class HierarchyError(ValueError):
@@ -137,6 +145,104 @@ class HierarchyNode:
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         kind = "leaf" if self.is_leaf else f"{len(self.children)} children"
         return f"HierarchyNode({self.name!r}, {kind}, leaves=[{self.leaf_start}:{self.leaf_end}))"
+
+
+#: One child-merge step of a height: ``(parents, source_height, children)``.
+#: ``parents`` are row positions in the height's slab, ``children`` the rows
+#: of their children in the slab of ``source_height``; a parent appears at
+#: most once per step.
+Merge = tuple[np.ndarray, int, np.ndarray]
+
+
+@dataclass(frozen=True)
+class HeightLevel:
+    """The nodes of one height that one slab pass computes together.
+
+    Attributes
+    ----------
+    nodes:
+        The nodes, in post-order.
+    slots:
+        Their rows in the height's slab of the whole hierarchy, or ``None``
+        when the level is the whole height (row ``n`` is ``nodes[n]``).
+    merges:
+        The child-merge steps, by child rank (first children, then second
+        children, ...) and, within a rank, by source height.  Applying them
+        in order to a zero start adds every parent's children in their
+        order: the steps of one rank touch distinct parents.
+    """
+
+    nodes: tuple[HierarchyNode, ...]
+    slots: "np.ndarray | None"
+    merges: tuple[Merge, ...]
+
+
+@dataclass(frozen=True)
+class HeightPlan:
+    """The nodes of a hierarchy grouped by height, and where each one is stored.
+
+    ``levels[h]`` lists the nodes of height ``h``; ``height[k]`` and
+    ``slot[k]`` give the height and the slab row of the node with index
+    ``k``.  A node only reads its children, which all sit at lower heights,
+    so every level can be computed at once once the levels below are done.
+    """
+
+    levels: tuple[HeightLevel, ...]
+    height: tuple[int, ...]
+    slot: tuple[int, ...]
+
+    @classmethod
+    def build(cls, nodes: Sequence[HierarchyNode]) -> "HeightPlan":
+        """The plan of a whole hierarchy, from its nodes in post-order."""
+        height = [0] * len(nodes)
+        slot = [0] * len(nodes)
+        members: list[list[HierarchyNode]] = []
+        for node in nodes:
+            h = 1 + max((height[child.index] for child in node.children), default=-1)
+            height[node.index] = h
+            if h == len(members):
+                members.append([])
+            slot[node.index] = len(members[h])
+            members[h].append(node)
+        levels = tuple(
+            HeightLevel(tuple(level), None, _merges(level, height, slot)) for level in members
+        )
+        return cls(levels, tuple(height), tuple(slot))
+
+    def restrict(self, nodes: Iterable[HierarchyNode]) -> "HeightPlan":
+        """The same plan over a subset of its nodes, given in post-order.
+
+        Each level keeps the rows of the whole plan in ``slots``.  Children
+        outside the subset must be computed before the subset is.
+        """
+        members: list[list[HierarchyNode]] = [[] for _ in self.levels]
+        for node in nodes:
+            members[self.height[node.index]].append(node)
+        levels = tuple(
+            HeightLevel(
+                tuple(level),
+                np.array([self.slot[node.index] for node in level], dtype=np.intp),
+                _merges(level, self.height, self.slot),
+            )
+            for level in members
+        )
+        return HeightPlan(levels, self.height, self.slot)
+
+
+def _merges(
+    parents: Sequence[HierarchyNode], height: Sequence[int], slot: Sequence[int]
+) -> tuple[Merge, ...]:
+    """The merge steps of ``parents``, by child rank, then source height."""
+    groups: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
+    for position, parent in enumerate(parents):
+        for rank, child in enumerate(parent.children):
+            rows = groups.setdefault((rank, height[child.index]), ([], []))
+            rows[0].append(position)
+            rows[1].append(slot[child.index])
+    return tuple(
+        (np.array(rows[0], dtype=np.intp), source, np.array(rows[1], dtype=np.intp))
+        for (_, source), rows in sorted(groups.items())
+    )
 
 
 class Hierarchy:
@@ -336,6 +442,11 @@ class Hierarchy:
     def depth(self) -> int:
         """Maximum depth of the tree (root is depth 0)."""
         return max(node.depth for node in self._nodes)
+
+    @cached_property
+    def height_plan(self) -> HeightPlan:
+        """The nodes grouped by height (computed once; see :class:`HeightPlan`)."""
+        return HeightPlan.build(self._nodes)
 
     def leaf_index(self, name: str) -> int:
         """Index of the leaf called ``name``.

@@ -2,10 +2,13 @@
 
 Every kernel takes a *slab* of DP tables: ``best``/``cut``/``count`` of shape
 ``(N, T, T)`` — one ``(T, T)`` table per hierarchy node — or a single
-``(T, T)`` table, treated as ``N = 1``.  The caller stacks all nodes of one
-hierarchy height into one slab (their tables are independent once the
-children below them are final), so one call runs the recurrence for a whole
-height.  Three tiers compute the very same recurrence — ``best[n, i, j] =
+``(T, T)`` table, treated as ``N = 1``.  Algorithm 1 keeps its tables as one
+such slab per hierarchy height (the nodes of one height are independent once
+the children below them are final), so one call runs the recurrence for a
+whole height.  ``best`` is float64; ``cut`` and ``count`` are int32 in
+Algorithm 1 (any integer dtype works: the "no eligible cut" sentinel of the
+tie-break is the largest value of ``count``'s dtype, which the counts stay
+below).  Three tiers compute the very same recurrence — ``best[n, i, j] =
 max over k of best[n, i, i + k] + best[n, i + k + 1, j]`` with the
 coarsest-partition tie-break — and are **bit-identical by construction**
 (the property suite diffs them cell by cell, no tolerances):
@@ -73,8 +76,6 @@ KERNELS = ("numpy", "blocked", "numba")
 #: Environment variable holding the process-wide default kernel.
 KERNEL_ENV = "REPRO_KERNEL"
 
-_INT64_MAX = np.iinfo(np.int64).max
-
 #: Row-block height of the blocked sweep: bounds the per-length temporaries to
 #: ``O(block * |T|)`` and keeps the active slab of both windows cache-resident.
 _ROW_BLOCK = 256
@@ -94,7 +95,8 @@ BLOCKED_MIN_SLICES = 1024
 SWEEP_BATCH_BYTES = 4 * 2**20
 
 #: Bytes the ``numpy`` tier holds per candidate cut: the float64 values, the
-#: int64 counts, the eligibility mask and the int64 masked counts.
+#: counts, the eligibility mask and the masked counts (counts of at most 8
+#: bytes; Algorithm 1's are int32).
 _CELL_BYTES = 8 + 8 + 1 + 8
 
 #: Bytes it holds per interval (start row): the maximum, the chosen cut, its
@@ -129,7 +131,7 @@ def _numba_sweep_compiled():
     import numba
 
     @numba.njit(cache=False)
-    def sweep(best, cut, count, epsilon):  # pragma: no cover - needs numba
+    def sweep(best, cut, count, epsilon, no_eligible):  # pragma: no cover - needs numba
         n = best.shape[0]
         for length in range(1, n):
             for i in range(n - length):
@@ -144,7 +146,7 @@ def _numba_sweep_compiled():
                 # the epsilon-eligible ones (== argmin of the masked counts).
                 threshold = top - epsilon
                 best_k = 0
-                best_count = _INT64_MAX
+                best_count = no_eligible
                 for k in range(length):
                     v = best[i, i + k] + best[i + k + 1, j]
                     if v >= threshold:
@@ -231,6 +233,15 @@ def set_default_kernel(kernel: "str | None") -> str:
 # --------------------------------------------------------------------------- #
 # numpy tier — the anti-diagonal strided sweep over a slab of nodes
 # --------------------------------------------------------------------------- #
+def _no_eligible(count: np.ndarray) -> int:
+    """The masked-count sentinel of a cut that is not epsilon-eligible.
+
+    The largest value of the count tables' dtype (int32 in Algorithm 1,
+    whose counts stay below it), so the masked counts keep that dtype.
+    """
+    return int(np.iinfo(count.dtype).max)
+
+
 def _slab(table: np.ndarray) -> np.ndarray:
     """``table`` as an ``(N, T, T)`` slab: a single ``(T, T)`` table is ``N = 1``."""
     return table[np.newaxis] if table.ndim == 2 else table
@@ -271,6 +282,7 @@ def temporal_cuts_numpy(
     """
     best, cut, count = _slab(best), _slab(cut), _slab(count)
     n_nodes, n_slices = best.shape[:2]
+    no_eligible = _no_eligible(count)
     best_left, best_right = _cut_windows(best)
     count_left, count_right = _cut_windows(count)
     for length in range(1, n_slices):
@@ -286,7 +298,7 @@ def temporal_cuts_numpy(
             # Among cuts whose pIC ties with the best one, prefer the coarsest
             # resulting partition (argmin returns the first minimal cut).
             eligible = values >= top - epsilon
-            k = np.where(eligible, counts, _INT64_MAX).argmin(axis=-1)[..., np.newaxis]
+            k = np.where(eligible, counts, no_eligible).argmin(axis=-1)[..., np.newaxis]
             value = np.take_along_axis(values, k, axis=-1)[..., 0]
             cut_count = np.take_along_axis(counts, k, axis=-1)[..., 0]
             current = np.diagonal(best[lo:hi], offset=length, axis1=1, axis2=2)
@@ -336,6 +348,7 @@ def _blocked_node(
     n_slices = best.shape[0]
     if n_slices <= 1:
         return
+    no_eligible = _no_eligible(count)
     best_t = np.ascontiguousarray(best.T)
     count_t = np.ascontiguousarray(count.T)
     s0, s1 = best.strides
@@ -357,7 +370,7 @@ def _blocked_node(
             counts = left_c[lo:hi] + right_c[lo:hi]
             top = values.max(axis=1, keepdims=True)
             eligible = values >= top - epsilon
-            k = np.where(eligible, counts, _INT64_MAX).argmin(axis=1)
+            k = np.where(eligible, counts, no_eligible).argmin(axis=1)
             local = starts - lo
             value = values[local, k]
             cut_count = counts[local, k]
@@ -395,8 +408,9 @@ def temporal_cuts_numba(
             "install numba or use --kernel blocked"
         )
     sweep = _numba_sweep_compiled()
+    no_eligible = _no_eligible(count)
     for node in zip(_slab(best), _slab(cut), _slab(count)):
-        sweep(*node, float(epsilon))
+        sweep(*node, float(epsilon), no_eligible)
 
 
 _SWEEPS = {

@@ -124,6 +124,7 @@ class Partition:
         self._model = model
         self._p = p
         self._stats = stats
+        self._totals: "tuple[float, float] | None" = None
         if validate:
             self._validate()
 
@@ -200,15 +201,20 @@ class Partition:
     # ------------------------------------------------------------------ #
     # Metrics
     # ------------------------------------------------------------------ #
+    def _gain_loss(self) -> tuple[float, float]:
+        """Total gain and loss, gathered once (see ``IntervalStatistics.gain_loss_totals``)."""
+        if self._totals is None:
+            gain, loss = self.stats.gain_loss_totals(self._aggregates)
+            self._totals = (float(gain), float(loss))
+        return self._totals
+
     def gain(self) -> float:
         """Total data-reduction gain of the partition."""
-        stats = self.stats
-        return float(sum(stats.gain(a.node, a.i, a.j) for a in self._aggregates))
+        return self._gain_loss()[0]
 
     def loss(self) -> float:
         """Total information loss of the partition."""
-        stats = self.stats
-        return float(sum(stats.loss(a.node, a.i, a.j) for a in self._aggregates))
+        return self._gain_loss()[1]
 
     def pic(self, p: float | None = None) -> float:
         """Total parametrized information criterion at trade-off ``p``."""

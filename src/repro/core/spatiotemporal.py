@@ -20,13 +20,17 @@ tie-breaking — so the result is bit-for-bit identical to the reference
 per-cell implementation (kept as :meth:`compute_tables_reference` and checked
 by the property tests):
 
-* **One sweep per height, not per node.**  A node only reads its children's
-  final tables, so all nodes of one *height* (leaves are height 0, a parent
-  is one above its tallest child) are independent.  Their base tables (the
-  better of "no cut" and "spatial cut", built node by node) are stacked into
-  ``(N, T, T)`` slabs and the temporal-cut recurrence runs once over the
-  whole slab: a balanced hierarchy costs ``depth + 1`` sweeps instead of
-  ``|S|``.
+* **One slab pass per height, not per node.**  A node only reads its
+  children's final tables, so all nodes of one *height* (leaves are height
+  0, a parent is one above its tallest child; see
+  :class:`~repro.core.hierarchy.HeightPlan`) are independent.  Every step
+  runs on the height's ``(N, T, T)`` slabs at once: the base tables
+  ``p * gain - (1 - p) * loss`` over the gain/loss slabs of
+  :class:`~repro.core.criteria.IntervalStatistics`, the children's merge —
+  one child rank at a time from a zero start, so every parent sums its
+  children in their order — with the spatial-cut test, and the temporal-cut
+  sweep.  A DP run costs ``O(heights x max fanout)`` numpy calls instead of
+  ``O(|S|)`` Python calls.
 * **Anti-diagonal sweeps.**  Instead of visiting the ``O(|T|^2)`` cells one
   by one, a sweep handles all intervals of the same length at once: strided
   views expose, for every node and every start ``i`` simultaneously, the
@@ -34,7 +38,11 @@ by the property tests):
   position ``k``, so one interval length costs a constant number of
   vectorized operations for the whole height.
 
-The ``(nodes, starts, cuts)`` temporaries of one length are bounded by
+The tables are kept per height too (:class:`HeightTables`): ``pic`` as
+float64, ``cut`` and ``count`` as int32 (a count is at most the ``|S| |T|``
+microscopic cells, checked on allocation), 16 bytes per cell.  Every slab
+temporary — the base tables and merge of a node chunk, the
+``(nodes, starts, cuts)`` candidates of one sweep length — is bounded by
 :data:`repro.core.kernels.SWEEP_BATCH_BYTES` (the node axis is split into
 chunks that fit), so batching adds at most that budget to the memory of the
 tables themselves.  The sweep itself is pluggable (:mod:`repro.core.kernels`):
@@ -45,26 +53,28 @@ bit-identical tables — selected via ``REPRO_KERNEL`` / ``--kernel``.
 Independent hierarchy subtrees only interact at their common ancestors, so
 the per-subtree table computations are embarrassingly parallel; passing
 ``jobs > 1`` distributes them over a process pool (each worker runs the same
-height-batched routine on its subtree) and merges the per-subtree results in
-the parent, whose remaining ancestors are batched by height the same way
+slab passes on its subtree's nodes) and stores the per-subtree rows in the
+parent's slabs, whose remaining ancestors are solved by height the same way
 (exposed as ``repro analyze --jobs``).
 
-The optimal partition is recovered by replaying the cuts from the root and
-the whole time span.
+The optimal partition is recovered by replaying the cuts, read from the
+per-height ``cut`` slabs, from the root and the whole time span.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
+from . import kernels
 from .criteria import IntervalStatistics
-from .hierarchy import HierarchyNode
-from .kernels import resolve_kernel, temporal_cuts
+from .hierarchy import HeightPlan, HierarchyNode, Merge
+from .kernels import resolve_kernel
 from .microscopic import MicroscopicModel
 from .operators import AggregationOperator
 from .partition import Aggregate, Partition
@@ -73,6 +83,7 @@ __all__ = [
     "SpatiotemporalAggregator",
     "AggregationWorkerError",
     "aggregate_spatiotemporal",
+    "HeightTables",
     "NodeTables",
 ]
 
@@ -89,7 +100,14 @@ class AggregationWorkerError(RuntimeError):
 #: Sentinel cut value meaning "spatial cut" (split between children).
 SPATIAL_CUT = -1
 
-_INT64_MAX = np.iinfo(np.int64).max
+#: dtype of the ``cut`` and ``count`` tables: a count is at most the
+#: ``|S| * |T|`` microscopic cells (checked when the tables are allocated).
+TABLE_DTYPE = np.int32
+
+#: Bytes the base-table pass holds per cell of a node chunk: the children's
+#: pIC and count sums, the gathered child rows and the spatial-cut test's
+#: shifted tables and masks.  Chunks stay within ``kernels.SWEEP_BATCH_BYTES``.
+_MERGE_CELL_BYTES = 48
 
 
 @dataclass(frozen=True)
@@ -102,10 +120,10 @@ class NodeTables:
         ``(T, T)`` table; ``pic[i, j]`` is the pIC of an optimal partition of
         the area ``(S_k, T_(i,j))`` (upper triangle only).
     cut:
-        ``(T, T)`` integer table with the optimal cut of each area (see the
+        ``(T, T)`` int32 table with the optimal cut of each area (see the
         module docstring for the encoding).
     count:
-        ``(T, T)`` integer table with the number of aggregates of the chosen
+        ``(T, T)`` int32 table with the number of aggregates of the chosen
         optimal partition of each area.  Used as a secondary criterion: among
         partitions whose pIC ties (within epsilon), the coarsest one is kept,
         so homogeneous regions are never fragmented arbitrarily.
@@ -116,9 +134,71 @@ class NodeTables:
     count: np.ndarray
 
 
+class HeightTables(Mapping):
+    """Algorithm 1's tables: one ``(N, T, T)`` slab triple per hierarchy height.
+
+    ``pic[h]``, ``cut[h]`` and ``count[h]`` hold the tables of the nodes of
+    height ``h``, row ``n`` for the node in slot ``n`` of ``plan``.  As a
+    mapping, ``tables[node.index]`` is that node's :class:`NodeTables` — views
+    of its rows, never a copy.
+    """
+
+    def __init__(self, plan: HeightPlan, n_slices: int):
+        self.plan = plan
+        self.n_slices = n_slices
+        self.pic: list["np.ndarray | None"] = [None] * len(plan.levels)
+        self.cut: list["np.ndarray | None"] = [None] * len(plan.levels)
+        self.count: list["np.ndarray | None"] = [None] * len(plan.levels)
+
+    def store(
+        self,
+        height: int,
+        slots: "np.ndarray | None",
+        pic: np.ndarray,
+        cut: np.ndarray,
+        count: np.ndarray,
+    ) -> None:
+        """Keep the tables of ``height``'s rows ``slots`` (``None``: all, as given)."""
+        if slots is None:
+            self.pic[height], self.cut[height], self.count[height] = pic, cut, count
+            return
+        if self.pic[height] is None:
+            shape = (len(self.plan.levels[height].nodes), self.n_slices, self.n_slices)
+            self.pic[height] = np.empty(shape)
+            self.cut[height] = np.empty(shape, dtype=TABLE_DTYPE)
+            self.count[height] = np.empty(shape, dtype=TABLE_DTYPE)
+        self.pic[height][slots] = pic
+        self.cut[height][slots] = cut
+        self.count[height][slots] = count
+
+    def __getitem__(self, index: int) -> NodeTables:
+        if not 0 <= index < len(self.plan.height):
+            raise KeyError(index)
+        height, slot = self.plan.height[index], self.plan.slot[index]
+        return NodeTables(
+            pic=self.pic[height][slot], cut=self.cut[height][slot], count=self.count[height][slot]
+        )
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(len(self.plan.height)))
+
+    def __len__(self) -> int:
+        return len(self.plan.height)
+
+
+def _empty_tables(model: MicroscopicModel) -> HeightTables:
+    """Empty DP tables for ``model``, whose counts must fit :data:`TABLE_DTYPE`."""
+    if model.n_resources * model.n_slices >= np.iinfo(TABLE_DTYPE).max:
+        raise ValueError(
+            f"|S| * |T| = {model.n_resources * model.n_slices} cells exceed the "
+            f"{np.dtype(TABLE_DTYPE).name} aggregate counts of the DP tables"
+        )
+    return HeightTables(model.hierarchy.height_plan, model.n_slices)
+
+
 def _no_cut(n_slices: int) -> np.ndarray:
     """The "no cut" default cut table: ``j`` on the upper triangle, 0 below."""
-    return np.triu(np.arange(n_slices, dtype=np.int64))
+    return np.triu(np.arange(n_slices, dtype=TABLE_DTYPE))
 
 
 def _find_node(root: HierarchyNode, index: int) -> HierarchyNode:
@@ -146,14 +226,32 @@ def _init_worker(
     )
 
 
-def _subtree_worker(p: float, node_index: int) -> dict[int, NodeTables]:
-    """Process-pool entry point: full tables of one hierarchy subtree."""
+def _subtree_worker(
+    p: float, node_index: int
+) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Process-pool entry point: the tables of one hierarchy subtree.
+
+    Returns ``(height, slots, pic, cut, count)`` per height of the subtree,
+    ready for :meth:`HeightTables.store` in the parent.
+    """
     aggregator = _WORKER_AGGREGATOR
     assert aggregator is not None, "worker used before _init_worker ran"
-    subtree_root = _find_node(aggregator.model.hierarchy.root, node_index)
-    tables: dict[int, NodeTables] = {}
-    aggregator._solve(list(subtree_root.iter_subtree("post")), p, tables)
-    return tables
+    model = aggregator.model
+    subtree_root = _find_node(model.hierarchy.root, node_index)
+    plan = model.hierarchy.height_plan.restrict(subtree_root.iter_subtree("post"))
+    tables = _empty_tables(model)
+    aggregator._solve(plan, p, tables)
+    return [
+        (
+            height,
+            level.slots,
+            tables.pic[height][level.slots],
+            tables.cut[height][level.slots],
+            tables.count[height][level.slots],
+        )
+        for height, level in enumerate(plan.levels)
+        if level.nodes
+    ]
 
 
 def _select_frontier(root: HierarchyNode, jobs: int) -> list[HierarchyNode]:
@@ -202,7 +300,9 @@ class SpatiotemporalAggregator:
     computed once (lazily, per node) and re-used by every call to
     :meth:`run`, which is what gives the "instantaneous interaction to get
     the visualization at a given aggregation level" behaviour reported in the
-    paper's conclusion.
+    paper's conclusion.  :meth:`run` is the three layers :meth:`build_tables`
+    (gain/loss tables), :meth:`compute_tables` (the DP sweep) and
+    :meth:`partition` (cut recovery), which callers may time one by one.
     """
 
     #: Minimum improvement required to prefer a cut over "no cut".  Perfectly
@@ -250,91 +350,123 @@ class SpatiotemporalAggregator:
     # ------------------------------------------------------------------ #
     # Dynamic program
     # ------------------------------------------------------------------ #
-    def _fill_base_tables(
+    def _split(self, jobs: int | None) -> tuple[list[HierarchyNode], HeightPlan]:
+        """The subtrees for the process pool and the plan this process solves.
+
+        Serially (or when the hierarchy offers a single subtree) the pool
+        gets nothing and this process solves the whole hierarchy; otherwise
+        it solves the subtrees' ancestors once the pool has returned.
+        """
+        plan = self._model.hierarchy.height_plan
+        if jobs is None or jobs <= 1:
+            return [], plan
+        frontier = _select_frontier(self._model.hierarchy.root, jobs)
+        if len(frontier) <= 1:
+            return [], plan
+        pooled = {node.index for subtree in frontier for node in subtree.iter_subtree()}
+        ancestors = (
+            node for node in self._model.hierarchy.iter_nodes("post") if node.index not in pooled
+        )
+        return frontier, plan.restrict(ancestors)
+
+    def build_tables(self, jobs: int | None = None) -> None:
+        """Build the gain/loss tables :meth:`compute_tables` reads in this process.
+
+        Every node's serially; with ``jobs > 1`` only those of the pooled
+        subtrees' ancestors (each worker builds its own subtree's).
+        """
+        _, plan = self._split(self._jobs if jobs is None else jobs)
+        for height, level in enumerate(plan.levels):
+            if level.nodes:
+                self._stats.height_tables(height, level.nodes)
+
+    def _solve(self, plan: HeightPlan, p: float, tables: HeightTables) -> None:
+        """Add the optimal tables of the nodes of ``plan`` to ``tables``.
+
+        One pass per height, each over the ``(N, T, T)`` slabs of the
+        height's nodes: base tables ``p * gain - (1 - p) * loss``, the
+        children's merge and spatial-cut test, then the temporal-cut sweep.
+        Children outside ``plan`` must already be in ``tables``.
+        """
+        n_slices = self._model.n_slices
+        no_cut = _no_cut(n_slices)
+        chunk = max(1, kernels.SWEEP_BATCH_BYTES // (n_slices * n_slices * _MERGE_CELL_BYTES))
+        for height, level in enumerate(plan.levels):
+            n_nodes = len(level.nodes)
+            if not n_nodes:
+                continue
+            gain, loss = self._stats.height_tables(height, level.nodes)
+            shape = (n_nodes, n_slices, n_slices)
+            best = np.empty(shape)
+            cut = np.empty(shape, dtype=TABLE_DTYPE)
+            cut[...] = no_cut
+            count = np.ones(shape, dtype=TABLE_DTYPE)
+            for lo in range(0, n_nodes, chunk):
+                hi = min(lo + chunk, n_nodes)
+                rows = slice(lo, hi) if level.slots is None else level.slots[lo:hi]
+                np.multiply(gain[rows], p, out=best[lo:hi])
+                np.subtract(best[lo:hi], (1.0 - p) * loss[rows], out=best[lo:hi])
+                if level.merges:
+                    self._spatial_cuts(
+                        level.merges, lo, hi, tables, best[lo:hi], cut[lo:hi], count[lo:hi]
+                    )
+            kernels.temporal_cuts(best, cut, count, self._epsilon, kernel=self._kernel)
+            tables.store(height, level.slots, best, cut, count)
+
+    def _spatial_cuts(
         self,
-        node: HierarchyNode,
-        p: float,
-        tables: Mapping[int, NodeTables],
+        merges: Sequence[Merge],
+        lo: int,
+        hi: int,
+        tables: HeightTables,
         best: np.ndarray,
         cut: np.ndarray,
         count: np.ndarray,
     ) -> None:
-        """Write the no-cut tables of ``node``, spatial cut applied, in place.
+        """Apply the spatial cut to the parents ``lo:hi`` of a level, in place.
 
-        ``best``/``cut``/``count`` are ``(T, T)`` buffers; ``cut`` and
-        ``count`` must already hold the no-cut defaults (:func:`_no_cut`
-        and ones).
+        ``best``/``cut``/``count`` are those parents' rows, holding the no-cut
+        tables.  The children's sums start from zero and add one child rank
+        at a time, so every parent gets ``((0 + c1) + c2) + ...`` in the
+        order of its children.
         """
-        gain, loss = self._stats.tables(node)
-        np.subtract(p * gain, (1.0 - p) * loss, out=best)
+        children_sum = np.zeros(best.shape)
+        children_count = np.zeros(count.shape, dtype=count.dtype)
+        for parents, source, children in merges:
+            a, b = np.searchsorted(parents, (lo, hi))
+            at = parents[a:b] - lo
+            children_sum[at] += tables.pic[source][children[a:b]]
+            children_count[at] += tables.count[source][children[a:b]]
+        epsilon = self._epsilon
+        spatial_better = (children_sum > best + epsilon) | (
+            (children_sum > best - epsilon) & (children_count < count)
+        )
+        np.copyto(best, children_sum, where=spatial_better)
+        np.copyto(cut, SPATIAL_CUT, where=spatial_better)
+        np.copyto(count, children_count, where=spatial_better)
 
-        if node.children:
-            children_sum = np.zeros_like(best)
-            children_count = np.zeros_like(count)
-            for child in node.children:
-                children_sum = children_sum + tables[child.index].pic
-                children_count = children_count + tables[child.index].count
-            spatial_better = (children_sum > best + self._epsilon) | (
-                (children_sum > best - self._epsilon) & (children_count < count)
-            )
-            np.copyto(best, children_sum, where=spatial_better)
-            np.copyto(cut, SPATIAL_CUT, where=spatial_better)
-            np.copyto(count, children_count, where=spatial_better)
+    def compute_tables(self, p: float, jobs: int | None = None) -> HeightTables:
+        """Run Algorithm 1 and return the pIC / cut / count tables of every node.
 
-    def _solve(
-        self, nodes: Sequence[HierarchyNode], p: float, tables: dict[int, NodeTables]
-    ) -> None:
-        """Add the optimal tables of ``nodes`` to ``tables``, one sweep per height.
-
-        ``nodes`` is in post-order and every child of a node is either listed
-        before it or already in ``tables``.  Heights count from the nodes
-        whose children are all in ``tables`` (leaves, or the ancestors of
-        finished subtrees), so every height only reads final tables.
-        """
-        heights: dict[int, int] = {}
-        levels: list[list[HierarchyNode]] = []
-        for node in nodes:
-            height = 1 + max((heights.get(c.index, -1) for c in node.children), default=-1)
-            heights[node.index] = height
-            if height == len(levels):
-                levels.append([])
-            levels[height].append(node)
-        n_slices = self._model.n_slices
-        no_cut = _no_cut(n_slices)
-        for level in levels:
-            shape = (len(level), n_slices, n_slices)
-            best = np.empty(shape)
-            cut = np.broadcast_to(no_cut, shape).copy()
-            count = np.ones(shape, dtype=np.int64)
-            for slot, node in enumerate(level):
-                self._fill_base_tables(node, p, tables, best[slot], cut[slot], count[slot])
-            temporal_cuts(best, cut, count, self._epsilon, kernel=self._kernel)
-            for slot, node in enumerate(level):
-                tables[node.index] = NodeTables(pic=best[slot], cut=cut[slot], count=count[slot])
-
-    def compute_tables(self, p: float, jobs: int | None = None) -> Mapping[int, NodeTables]:
-        """Run Algorithm 1 and return the per-node pIC / cut tables.
-
-        The mapping is keyed by ``node.index``.  ``jobs`` overrides the
-        constructor default; any value above 1 computes independent hierarchy
-        subtrees in a process pool before merging at their ancestors.
+        The result maps ``node.index`` to the node's :class:`NodeTables` and
+        keeps them as per-height slabs.  ``jobs`` overrides the constructor
+        default; any value above 1 computes independent hierarchy subtrees
+        in a process pool before merging at their ancestors.
         """
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"p must be in [0, 1], got {p}")
         jobs = self._jobs if jobs is None else jobs
-        if jobs is not None and jobs > 1:
-            return self._compute_tables_parallel(p, int(jobs))
-        tables: dict[int, NodeTables] = {}
-        self._solve(list(self._model.hierarchy.iter_nodes("post")), p, tables)
+        frontier, plan = self._split(jobs)
+        tables = _empty_tables(self._model)
+        if frontier:
+            self._solve_subtrees(frontier, p, int(jobs), tables)
+        self._solve(plan, p, tables)
         return tables
 
-    def _compute_tables_parallel(self, p: float, jobs: int) -> Mapping[int, NodeTables]:
-        """Distribute independent subtrees over a process pool, merge ancestors."""
-        root = self._model.hierarchy.root
-        frontier = _select_frontier(root, jobs)
-        if len(frontier) <= 1:
-            return self.compute_tables(p, jobs=1)
-        tables: dict[int, NodeTables] = {}
+    def _solve_subtrees(
+        self, frontier: Sequence[HierarchyNode], p: float, jobs: int, tables: HeightTables
+    ) -> None:
+        """Solve the ``frontier`` subtrees over a process pool into ``tables``."""
         try:
             with ProcessPoolExecutor(
                 max_workers=min(jobs, len(frontier)),
@@ -343,42 +475,59 @@ class SpatiotemporalAggregator:
             ) as pool:
                 futures = [pool.submit(_subtree_worker, p, node.index) for node in frontier]
                 for future in futures:
-                    tables.update(future.result())
+                    for rows in future.result():
+                        tables.store(*rows)
         except BrokenProcessPool as exc:
             raise AggregationWorkerError(
                 f"a parallel aggregation worker crashed (jobs={jobs}, "
                 f"{len(frontier)} subtrees in flight); rerun with jobs=1 for a "
                 "serial aggregation of the same partition"
             ) from exc
-        # The remaining nodes are the frontier's strict ancestors; their
-        # frontier children are all in ``tables`` already.
-        ancestors = [
-            node
-            for node in self._model.hierarchy.iter_nodes("post")
-            if node.index not in tables
-        ]
-        self._solve(ancestors, p, tables)
-        return tables
 
-    def compute_tables_reference(self, p: float) -> Mapping[int, NodeTables]:
+    def compute_tables_reference(self, p: float) -> HeightTables:
         """Per-cell reference implementation of Algorithm 1.
 
-        Visits every cell ``(i, j)`` of every node in an explicit Python loop,
-        exactly as the paper describes.  Kept as the correctness oracle for
-        the vectorized sweep (the property tests assert bit-identical tables)
-        and as the "before" leg of ``benchmarks/bench_spatiotemporal.py``.
+        Builds every node's base tables on their own and visits every cell
+        ``(i, j)`` of every node in an explicit Python loop, exactly as the
+        paper describes.  Kept as the correctness oracle for the slab passes
+        (the property tests assert bit-identical tables) and as the "before"
+        leg of ``benchmarks/bench_spatiotemporal.py``.
         """
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"p must be in [0, 1], got {p}")
         n_slices = self._model.n_slices
         epsilon = self._epsilon
+        sentinel = np.iinfo(TABLE_DTYPE).max
+        tables = _empty_tables(self._model)
+        for height, level in enumerate(tables.plan.levels):
+            shape = (len(level.nodes), n_slices, n_slices)
+            tables.store(
+                height,
+                None,
+                np.empty(shape),
+                np.empty(shape, dtype=TABLE_DTYPE),
+                np.empty(shape, dtype=TABLE_DTYPE),
+            )
         no_cut = _no_cut(n_slices)
-        tables: dict[int, NodeTables] = {}
         for node in self._model.hierarchy.iter_nodes("post"):
-            best = np.empty((n_slices, n_slices))
-            cut = no_cut.copy()
-            count = np.ones((n_slices, n_slices), dtype=np.int64)
-            self._fill_base_tables(node, p, tables, best, cut, count)
+            table = tables[node.index]
+            best, cut, count = table.pic, table.cut, table.count
+            gain, loss = self._stats.tables(node)
+            np.subtract(p * gain, (1.0 - p) * loss, out=best)
+            cut[...] = no_cut
+            count[...] = 1
+            if node.children:
+                children_sum = np.zeros_like(best)
+                children_count = np.zeros_like(count)
+                for child in node.children:
+                    children_sum = children_sum + tables[child.index].pic
+                    children_count = children_count + tables[child.index].count
+                spatial_better = (children_sum > best + epsilon) | (
+                    (children_sum > best - epsilon) & (children_count < count)
+                )
+                np.copyto(best, children_sum, where=spatial_better)
+                np.copyto(cut, SPATIAL_CUT, where=spatial_better)
+                np.copyto(count, children_count, where=spatial_better)
             # Temporal cuts: rows from the last slice upwards, columns left to
             # right, so that every sub-interval referenced is already optimal.
             for i in range(n_slices - 1, -1, -1):
@@ -389,7 +538,7 @@ class SpatiotemporalAggregator:
                     counts = row_count[i:j] + count[i + 1 : j + 1, j]
                     top = values.max()
                     eligible = values >= top - epsilon
-                    k = int(np.where(eligible, counts, _INT64_MAX).argmin())
+                    k = int(np.where(eligible, counts, sentinel).argmin())
                     value = values[k]
                     cut_count = int(counts[k])
                     if value > row[j] + epsilon or (
@@ -398,7 +547,6 @@ class SpatiotemporalAggregator:
                         row[j] = value
                         row_count[j] = cut_count
                         cut[i, j] = i + k
-            tables[node.index] = NodeTables(pic=best, cut=cut, count=count)
         return tables
 
     def optimal_pic(self, p: float) -> float:
@@ -412,10 +560,12 @@ class SpatiotemporalAggregator:
     # ------------------------------------------------------------------ #
     def run(self, p: float, jobs: int | None = None) -> Partition:
         """Compute and return the optimal partition at trade-off ``p``."""
-        tables = self.compute_tables(p, jobs=jobs)
-        aggregates = self._recover(tables)
+        return self.partition(self.compute_tables(p, jobs=jobs), p)
+
+    def partition(self, tables: HeightTables, p: float) -> Partition:
+        """The optimal partition encoded in ``tables``, computed at trade-off ``p``."""
         return Partition(
-            aggregates,
+            self._recover(tables),
             self._model,
             p=p,
             stats=self._stats,
@@ -426,15 +576,18 @@ class SpatiotemporalAggregator:
         """Run the aggregation for several trade-off values (tables are shared)."""
         return {p: self.run(p) for p in ps}
 
-    def _recover(self, tables: Mapping[int, NodeTables]) -> list[Aggregate]:
+    def _recover(self, tables: HeightTables) -> list[Aggregate]:
         """Replay the cut sequence from the root over the whole time span."""
         n_slices = self._model.n_slices
-        root = self._model.hierarchy.root
+        height, slot = tables.plan.height, tables.plan.slot
+        cuts = tables.cut
         aggregates: list[Aggregate] = []
-        stack: list[tuple[HierarchyNode, int, int]] = [(root, 0, n_slices - 1)]
+        stack: list[tuple[HierarchyNode, int, int]] = [
+            (self._model.hierarchy.root, 0, n_slices - 1)
+        ]
         while stack:
             node, i, j = stack.pop()
-            cut = int(tables[node.index].cut[i, j])
+            cut = cuts[height[node.index]].item(slot[node.index], i, j)
             if cut == j:
                 aggregates.append(Aggregate(node, i, j))
             elif cut == SPATIAL_CUT:

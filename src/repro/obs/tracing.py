@@ -5,7 +5,7 @@ request (or one CLI command).  The active trace rides a ``ContextVar`` so
 instrumentation points deep in the pipeline — the DP kernel, prefix-table
 construction, serialization — call :func:`span` without any plumbing:
 
-    with span("dp.kernel", operator="mean"):
+    with span("dp.sweep", p=0.7):
         ...
 
 When no trace is active, :func:`span` returns a shared no-op context

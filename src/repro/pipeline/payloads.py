@@ -119,8 +119,12 @@ def run_analysis(
     """
     if aggregator is None:
         aggregator = SpatiotemporalAggregator(model, operator=operator, jobs=jobs)
-    with span("dp.kernel", p=p):
-        partition = aggregator.run(p, jobs=jobs)
+    with span("stats.tables"):
+        aggregator.build_tables(jobs=jobs)
+    with span("dp.sweep", p=p):
+        tables = aggregator.compute_tables(p, jobs=jobs)
+    with span("dp.recover"):
+        partition = aggregator.partition(tables, p)
     with span("phases.detect"):
         phases = detect_phases(partition, model)
     with span("anomalies.detect", threshold=anomaly_threshold):

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro.core.criteria import IntervalStatistics
+from repro.core.hierarchy import Hierarchy
+from repro.core.microscopic import MicroscopicModel
 from repro.core.operators import MeanOperator, xlogx
+from repro.core.spatiotemporal import SpatiotemporalAggregator
+from repro.trace.states import StateRegistry
 
 
 class TestTables:
@@ -103,3 +109,51 @@ class TestMacroProportions:
     def test_microscopic_information_positive(self, figure3_model):
         stats = IntervalStatistics(figure3_model)
         assert stats.microscopic_information() > 0
+
+
+class TestConcurrentFirstUse:
+    """Threads sharing one aggregator never read a half-written slab row."""
+
+    def test_reader_gets_complete_tables_while_a_filler_is_held(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        model = MicroscopicModel.from_proportions(
+            rng.random((6, 5, 2)) / 2.0, Hierarchy.balanced(6, fanout=2), StateRegistry(["a", "b"])
+        )
+        reference = SpatiotemporalAggregator(model).compute_tables_reference(0.5)
+        shared = SpatiotemporalAggregator(model)
+
+        # The filler thread stops inside its first row fill: the row's values
+        # are computed but not yet in the slab.  A row published before it is
+        # written would hand the reader the slab's uninitialized memory.
+        held, release = threading.Event(), threading.Event()
+        compute = IntervalStatistics._node_tables
+
+        def hooked(self, node):
+            tables = compute(self, node)
+            if threading.current_thread().name == "filler" and not held.is_set():
+                held.set()
+                release.wait(timeout=30)
+            return tables
+
+        monkeypatch.setattr(IntervalStatistics, "_node_tables", hooked)
+        results = {}
+
+        def run(name):
+            results[name] = shared.compute_tables(0.5)
+
+        filler = threading.Thread(target=run, args=("filler",), name="filler")
+        filler.start()
+        try:
+            assert held.wait(timeout=30)
+            run("reader")
+        finally:
+            release.set()
+            filler.join(timeout=30)
+        assert not filler.is_alive()
+        for name in ("reader", "filler"):
+            tables = results[name]
+            assert tables.keys() == reference.keys()
+            for key in reference:
+                assert np.array_equal(tables[key].pic, reference[key].pic), (name, key)
+                assert np.array_equal(tables[key].cut, reference[key].cut), (name, key)
+                assert np.array_equal(tables[key].count, reference[key].count), (name, key)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,11 @@ from repro.core.exhaustive import brute_force_optimum
 from repro.core.hierarchy import Hierarchy
 from repro.core.microscopic import MicroscopicModel
 from repro.core.partition import Partition
-from repro.core.spatiotemporal import SpatiotemporalAggregator, aggregate_spatiotemporal
+from repro.core.spatiotemporal import (
+    SpatiotemporalAggregator,
+    _empty_tables,
+    aggregate_spatiotemporal,
+)
 from repro.trace.states import StateRegistry
 from repro.trace.synthetic import random_trace
 
@@ -22,6 +28,16 @@ class TestBasicBehaviour:
             partition = aggregator.run(p)
             # Re-validate explicitly (run() skips validation for speed).
             Partition(partition.aggregates, figure3_model)
+
+    def test_tables_refuse_models_whose_counts_overflow_int32(self):
+        # The int32 cut/count tables hold at most |S| * |T| aggregates.
+        model = SimpleNamespace(
+            n_resources=2**16, n_slices=2**15, hierarchy=Hierarchy.flat(["a", "b"])
+        )
+        with pytest.raises(ValueError, match="int32"):
+            _empty_tables(model)
+        model.n_slices -= 1
+        assert len(_empty_tables(model)) == 3
 
     def test_p_one_yields_full_aggregation(self, figure3_model):
         partition = aggregate_spatiotemporal(figure3_model, 1.0)

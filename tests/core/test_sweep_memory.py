@@ -1,11 +1,14 @@
-"""Memory bound of the height-batched Algorithm 1 sweep.
+"""Memory bound of the slab passes of Algorithm 1.
 
 Stacking every node of one hierarchy height into one slab must not let the
-sweep's per-length temporaries grow with the number of nodes: the ``numpy``
-tier splits the node axis into chunks within
-:data:`repro.core.kernels.SWEEP_BATCH_BYTES`.  Beyond the tables it returns,
-``compute_tables`` may therefore allocate at most that budget more than the
-same sweep run one node at a time (a budget of 0 bytes: one-node chunks).
+temporaries grow with the number of nodes: the base tables
+``p * gain - (1 - p) * loss``, the children's merge and spatial-cut test,
+and the ``numpy`` tier's per-length sweep all split the node axis into
+chunks within :data:`repro.core.kernels.SWEEP_BATCH_BYTES`.  Beyond the
+tables it returns, ``compute_tables`` may therefore allocate at most that
+budget more than the same passes run one node at a time (a budget of 0
+bytes: one-node chunks).  Fanout 8 makes the sweep the largest slab
+temporary; fanout 2, with 128 parents at height 1, the merge.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from repro.core import kernels
 from repro.core.hierarchy import Hierarchy
@@ -33,11 +37,12 @@ def _peak_beyond_tables(aggregator: SpatiotemporalAggregator, p: float) -> int:
     return peak - table_bytes
 
 
-def test_batched_peak_within_per_node_peak_plus_budget(monkeypatch):
+@pytest.mark.parametrize("n_leaves, fanout", [(512, 8), (256, 2)])
+def test_batched_peak_within_per_node_peak_plus_budget(monkeypatch, n_leaves, fanout):
     rng = np.random.default_rng(7)
-    rho = rng.random((512, 64, 2)) / 2.0
+    rho = rng.random((n_leaves, 64, 2)) / 2.0
     model = MicroscopicModel.from_proportions(
-        rho, Hierarchy.balanced(512, fanout=8), StateRegistry(["a", "b"])
+        rho, Hierarchy.balanced(n_leaves, fanout=fanout), StateRegistry(["a", "b"])
     )
     aggregator = SpatiotemporalAggregator(model, kernel="numpy")
     # Warm the gain/loss tables so both measurements see only the DP.
@@ -48,3 +53,8 @@ def test_batched_peak_within_per_node_peak_plus_budget(monkeypatch):
     monkeypatch.setattr(kernels, "SWEEP_BATCH_BYTES", 0)
     per_node = _peak_beyond_tables(aggregator, 0.5)
     assert batched <= per_node + budget, (batched, per_node, budget)
+    # One-node chunks hold a few one-node tables at a time, never a slab:
+    # this fails if a pass ignores the budget, which the first bound cannot
+    # see (both runs would then allocate the whole slab).
+    node_bytes = 64 * 64 * (8 + 4 + 4)
+    assert per_node <= 16 * node_bytes, (per_node, node_bytes)

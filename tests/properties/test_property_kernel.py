@@ -44,8 +44,12 @@ from repro.core.kernels import (
     numba_available,
 )
 from repro.core.microscopic import MicroscopicModel, MicroscopicModelError
+from repro.core.partition import Partition
+from repro.core.criteria import IntervalStatistics
 from repro.core.operators import available_operators
+from repro.core.spatial import aggregate_spatial
 from repro.core.spatiotemporal import SpatiotemporalAggregator
+from repro.core.temporal import aggregate_temporal
 from repro.pipeline.payloads import (
     analysis_payload,
     run_analysis,
@@ -283,6 +287,36 @@ class TestHeightBatchedSweep:
         _assert_same_tables(
             aggregator.compute_tables(p, jobs=1), aggregator.compute_tables(p, jobs=3)
         )
+
+    @_SETTINGS
+    @given(
+        model=irregular_model_strategy(),
+        operator=st.sampled_from(list(available_operators())),
+        p=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+        built=st.sets(st.integers(min_value=0, max_value=30)),
+    )
+    def test_gathered_partition_totals_equal_per_aggregate_sums(
+        self, model, operator, p, built
+    ):
+        # The optimal partition scored by its own (fully built) tables, by a
+        # statistics engine with only some nodes' tables built, and the
+        # spatial/temporal baselines' partitions, whose engines built none.
+        partition = SpatiotemporalAggregator(model, operator=operator).run(p)
+        partial = IntervalStatistics(model, operator)
+        for node in model.hierarchy.iter_nodes():
+            if node.index in built:
+                partial.tables(node)
+        candidates = [
+            partition,
+            Partition(partition.aggregates, model, stats=partial, validate=False),
+            aggregate_spatial(model, p, operator=operator),
+            aggregate_temporal(model, p, operator=operator),
+        ]
+        for candidate in candidates:
+            stats = candidate.stats
+            points = [stats.gain_loss_at(a.node, a.i, a.j) for a in candidate.aggregates]
+            assert candidate.gain().hex() == float(sum(g for g, _ in points)).hex()
+            assert candidate.loss().hex() == float(sum(l for _, l in points)).hex()
 
     @_SETTINGS
     @given(data=sweep_inputs(), epsilon=st.sampled_from([1e-9, 1e-6, 1e-3]))

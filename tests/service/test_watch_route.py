@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -100,11 +101,17 @@ class TestWatchStream:
                         if t <= iv.start < t + 1
                     ]
                 )
+                # A few polls per slice: slices appended between the same two
+                # polls are scored as one step, so an unpaced writer can
+                # finish in too few polls for five events.
+                time.sleep(0.05)
 
         thread = threading.Thread(target=grow, daemon=True)
         thread.start()
+        # max_polls ends the stream if five events never come: heartbeats
+        # would otherwise keep the read alive past any socket timeout.
         response = urllib.request.urlopen(
-            _url(server, "?trace=demo&poll=0.01&max_events=5"), timeout=60
+            _url(server, "?trace=demo&poll=0.01&max_events=5&max_polls=3000"), timeout=60
         )
         assert response.status == 200
         assert response.headers["Content-Type"] == "text/event-stream"
