@@ -6,37 +6,56 @@ corresponding aggregate.  The paper computes these by iterating over the
 cells of per-node upper-triangular matrices nested in a tree recursion, in
 ``O(|S| |T|^2)`` time.
 
-:class:`IntervalStatistics` implements the same computation incrementally
-with two layers of prefix sums:
+:class:`IntervalStatistics` implements the same computation with two layers
+of prefix sums:
 
 * a prefix sum over the *resource* axis (cached on the model, see
   :meth:`~repro.core.microscopic.MicroscopicModel.cumulative_tables`) gives
   node-level per-slice sums in constant time per node thanks to the
   contiguous leaf ranges of :class:`~repro.core.hierarchy.Hierarchy`;
-* a per-node prefix sum over the *time* axis (``(T + 1, X)``, cached per
-  node) answers the pre-reduced sums of **any** interval ``(i, j)`` in O(1)
-  — two table lookups — through :meth:`interval_sums_at`, and yields the
-  full ``(T, T)`` interval tables for every ``(i, j)`` pair at once by
-  broadcasting the very same subtraction.
+* a prefix sum over the *time* axis (``(T + 1, X)`` per node) answers the
+  pre-reduced sums of **any** interval ``(i, j)`` in O(1) — two table
+  lookups — through :meth:`interval_sums_at`, and yields the interval tables
+  of every ``(i, j)`` pair at once by broadcasting the very same subtraction.
 
-Because the scalar O(1) path and the broadcast table path evaluate exactly
-the same floating-point operations on the same prefix values, their results
-are bit-for-bit identical (a property the test suite asserts).
+The resulting ``(T, T)`` gain and loss tables (upper triangle valid, lower
+triangle zero) are stored as one ``(N, T, T)`` slab pair per hierarchy height
+(the :class:`~repro.core.hierarchy.HeightPlan` of the model's hierarchy), so
+Algorithm 1 reads a whole height's tables as one array while
+:meth:`IntervalStatistics.tables` still hands out one node's ``(T, T)``
+views.  Both go through one fill, which computes the missing rows of a
+height one chunk of nodes at a time:
 
-The resulting ``(T, T)`` gain and loss tables (upper triangle valid) are
-stored as one ``(N, T, T)`` slab pair per hierarchy height (the
-:class:`~repro.core.hierarchy.HeightPlan` of the model's hierarchy), filled
-lazily one node row at a time, so Algorithm 1 reads a whole height's tables
-as one array while :meth:`IntervalStatistics.tables` still hands out one
-node's ``(T, T)`` views.  They are shared by the spatial, temporal and
-spatiotemporal aggregators as well as by the partition quality metrics
+* one gather of resource-prefix rows (``cum[b] - cum[a]`` for every node of
+  the chunk) and one time-axis ``cumsum`` give the chunk's time prefixes;
+* the interval sums are laid out **state-major**: the memory is
+  ``(X, c, rows, columns)`` and the operator gets the logical
+  ``(c, rows, columns, X)`` views of :class:`~repro.core.operators.IntervalSums`,
+  so every per-state step of an operator is one contiguous pass over the
+  chunk and the reduction over states
+  (:func:`~repro.core.operators.state_sum`) adds whole state slices in the
+  order numpy's contiguous pairwise ``add.reduce`` uses;
+* one operator call scores the chunk.
+
+Chunks are sized so the operator's working set stays within
+:data:`repro.core.kernels.SWEEP_BATCH_BYTES`; a node whose working set alone
+exceeds it is split by start rows under the same budget (a block of start
+rows ``[lo, hi)`` computes only the end columns ``j >= lo``; the others are
+lower triangle).  Chunking cannot change any float: every table entry sees
+the same operations on the same values whatever the chunk.  Because the
+scalar O(1) path and the table path evaluate exactly the same floating-point
+operations on the same prefix values, their results are bit-for-bit
+identical (a property the test suite asserts).
+
+The slabs are shared by the spatial, temporal and spatiotemporal aggregators
+as well as by the partition quality metrics
 (:meth:`IntervalStatistics.gain_loss_totals` gathers a partition's entries
-from the slabs in one pass); the scalar path serves point queries
-(partition scoring of nodes without tables, brute-force oracles, viz
-tooltips) without materializing any quadratic table.
+from the slabs in one pass); the scalar path serves point queries (partition
+scoring of nodes without tables, brute-force oracles, viz tooltips) without
+materializing any quadratic table.
 
-A row is published (marked filled) only after it is fully written, and the
-slab of a height is allocated under a lock, so threads sharing one
+A chunk's rows are published (marked filled) only after they are written,
+and the slab of a height is allocated under a lock, so threads sharing one
 statistics engine never read a half-written row: a thread that finds a row
 unpublished computes it itself (identical bytes).
 """
@@ -44,11 +63,12 @@ unpublished computes it itself (identical bytes).
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
+from . import kernels
 from .hierarchy import HierarchyNode
 from .microscopic import MicroscopicModel
 from .operators import (
@@ -62,35 +82,35 @@ from .operators import (
 
 __all__ = ["IntervalStatistics", "NodePrefixes"]
 
-#: Row-block height used by :meth:`IntervalStatistics.tables` once ``|T|``
-#: exceeds it: the scratch interval tables then peak at ``O(block |T| |X|)``
-#: instead of ``O(|T|^2 |X|)`` while producing bit-identical results (the
-#: operators are elementwise over the leading axes plus a fixed-length state
-#: reduction, so splitting the start axis cannot change any float).
-TABLE_BLOCK_ROWS = 128
+#: Bytes a table fill holds per ``(node, i, j)`` cell and state: the
+#: operator's per-state inputs and temporaries.
+_STATE_CELL_BYTES = 64
+
+#: Bytes a table fill holds per ``(node, i, j)`` cell beyond the per-state
+#: arrays: the state-summed gain and loss, their state-sum accumulators and
+#: the operator's per-cell denominators.
+_CELL_BYTES = 128
 
 
-def _running_extrema_table(
-    per_slice: np.ndarray, ufunc: np.ufunc, start: int = 0, stop: "int | None" = None
+def _extrema_table(
+    per_slice: Sequence[np.ndarray], ufunc: np.ufunc, lo: int, hi: int
 ) -> np.ndarray:
-    """``(T, T, X)`` interval extrema of a per-slice ``(T, X)`` array.
+    """Interval extrema of per-node per-slice ``(T, X)`` arrays, start rows ``[lo, hi)``.
 
-    ``table[i, j] = ufunc.reduce(per_slice[i..j])`` via a running accumulate
-    per start row; the lower triangle (``j < i``) is left at zero, matching
-    the masked lower triangles of the sum-based interval tables.  Extrema are
-    exactly associative, so each entry is bit-identical to the scalar
-    ``per_slice[i:j + 1]`` reduction of :meth:`IntervalStatistics.interval_sums_at`.
-
-    ``start``/``stop`` restrict the first axis to the start rows
-    ``[start, stop)`` (each row's accumulate is independent, so a row block
-    of the full table is the full table's row block, bit for bit).
+    ``table[n, i - lo, j - lo] = ufunc.reduce(per_slice[n][i..j])`` via one
+    running accumulate per start row over the whole chunk, in state-major
+    memory like the interval sums; the lower triangle (``j < i``) is left at
+    zero, matching the masked lower triangles of the sum-based interval
+    tables.  Extrema are exactly associative, so each entry is bit-identical
+    to the scalar ``per_slice[i:j + 1]`` reduction of
+    :meth:`IntervalStatistics.interval_sums_at`.
     """
-    n_slices, n_states = per_slice.shape
-    stop = n_slices if stop is None else stop
-    table = np.zeros((stop - start, n_slices, n_states))
-    for i in range(start, stop):
-        table[i - start, i:] = ufunc.accumulate(per_slice[i:], axis=0)
-    return table
+    series = np.stack(per_slice).transpose(2, 0, 1)  # (X, c, T)
+    n_states, n_nodes, n_slices = series.shape
+    table = np.zeros((n_states, n_nodes, hi - lo, n_slices - lo))
+    for i in range(lo, hi):
+        ufunc.accumulate(series[..., i:], axis=-1, out=table[:, :, i - lo, i - lo :])
+    return np.moveaxis(table, 0, -1)
 
 
 @dataclass(frozen=True)
@@ -215,19 +235,24 @@ class IntervalStatistics:
         self._prefix_cache[node.index] = prefixes
         return prefixes
 
-    def _node_sq_prefix(self, node: HierarchyNode) -> np.ndarray:
-        """Cached ``(T + 1, X)`` time prefix of ``sum_s rho^2`` for ``node``."""
-        cached = self._sq_prefix_cache.get(node.index)
-        if cached is not None:
-            return cached
+    def _squares_prefix(self) -> np.ndarray:
+        """Resource-axis prefix sums of ``rho^2``, ``(R + 1, T, X)``, built on first use."""
         if self._prefix_sq is None:
             proportions = self._model.proportions
             zeros = np.zeros((1,) + proportions.shape[1:])
             self._prefix_sq = np.concatenate(
                 [zeros, np.cumsum(proportions * proportions, axis=0)]
             )
+        return self._prefix_sq
+
+    def _node_sq_prefix(self, node: HierarchyNode) -> np.ndarray:
+        """Cached ``(T + 1, X)`` time prefix of ``sum_s rho^2`` for ``node``."""
+        cached = self._sq_prefix_cache.get(node.index)
+        if cached is not None:
+            return cached
+        prefix_sq = self._squares_prefix()
         a, b = node.leaf_start, node.leaf_end
-        per_slice = self._prefix_sq[b] - self._prefix_sq[a]  # (T, X)
+        per_slice = prefix_sq[b] - prefix_sq[a]  # (T, X)
         zeros = np.zeros((1, per_slice.shape[1]))
         prefix = np.concatenate([zeros, np.cumsum(per_slice, axis=0)])
         self._sq_prefix_cache[node.index] = prefix
@@ -278,42 +303,62 @@ class IntervalStatistics:
             **extras,
         )
 
-    def interval_sums(
-        self, node: HierarchyNode, start: int = 0, stop: "int | None" = None
-    ) -> IntervalSums:
+    def interval_sums(self, node: HierarchyNode) -> IntervalSums:
         """All pre-reduced quantities of ``node`` for every interval at once.
 
         The per-state arrays have shape ``(T, T, X)`` (first axis ``i``,
         second axis ``j``); only the upper triangle ``j >= i`` is meaningful.
-        Each table is the broadcast form of the same prefix subtraction used
+        They are the node's part of the state-major sums a table fill hands
+        the operator: the broadcast form of the same prefix subtraction used
         by :meth:`interval_sums_at`.
-
-        ``start``/``stop`` restrict the first (interval-start) axis to the
-        rows ``[start, stop)`` — the block form :meth:`tables` streams
-        through so its scratch stays linear in ``|T|``.  Every returned
-        value is the corresponding row block of the full table, bit for bit.
         """
-        prefixes = self.node_prefixes(node)
-        stop = self.n_slices if stop is None else stop
+        sums = self._chunk_sums([node], 0, self.n_slices)
+        per_node = {}
+        for field in fields(IntervalSums):
+            value = getattr(sums, field.name)
+            per_node[field.name] = None if value is None else value[0]
+        return IntervalSums(**per_node)
 
-        def interval_table(prefix: np.ndarray) -> np.ndarray:
-            # table[i, j] = prefix[j + 1] - prefix[i]
-            return prefix[None, 1:, :] - prefix[start:stop, None, :]
+    def _chunk_sums(self, nodes: Sequence[HierarchyNode], lo: int, hi: int) -> IntervalSums:
+        """Pre-reduced sums of ``nodes`` for the start rows ``[lo, hi)``.
+
+        The intervals are ``(i, j)`` with ``lo <= i < hi`` and ``lo <= j < T``.
+        Every field has a leading node axis; the per-state arrays are logical
+        ``(c, hi - lo, T - lo, X)`` views of state-major ``(X, c, ...)``
+        memory, so an operator's per-state passes run over contiguous state
+        slices.
+        """
+        n_slices = self.n_slices
+        first = np.array([node.leaf_start for node in nodes], dtype=np.intp)
+        last = np.array([node.leaf_end for node in nodes], dtype=np.intp)
+        shape = (self._model.n_states, len(nodes), hi - lo, n_slices - lo)
+
+        def interval_table(cumulative: np.ndarray) -> np.ndarray:
+            # Each node's time prefix of its per-slice sums, as (X, c, T + 1).
+            prefix = np.empty(shape[:2] + (n_slices + 1,))
+            prefix[..., 0] = 0.0
+            per_slice = cumulative[last] - cumulative[first]  # (c, T, X)
+            np.cumsum(per_slice, axis=1, out=np.moveaxis(prefix[..., 1:], 0, -1))
+            # table[x, n, i - lo, j - lo] = prefix[x, n, j + 1] - prefix[x, n, i]
+            table = np.empty(shape)
+            np.subtract(prefix[:, :, None, lo + 1 :], prefix[:, :, lo:hi, None], out=table)
+            return np.moveaxis(table, 0, -1)
 
         extras: dict[str, np.ndarray] = {}
         if "sum_sq_rho" in self._requires:
-            extras["sum_sq_rho"] = interval_table(self._node_sq_prefix(node))
+            extras["sum_sq_rho"] = interval_table(self._squares_prefix())
         if "minmax_rho" in self._requires:
-            per_max, per_min = self._node_extrema(node)
-            extras["max_rho"] = _running_extrema_table(per_max, np.maximum, start, stop)
-            extras["min_rho"] = _running_extrema_table(per_min, np.minimum, start, stop)
+            per_max, per_min = zip(*(self._node_extrema(node) for node in nodes))
+            extras["max_rho"] = _extrema_table(per_max, np.maximum, lo, hi)
+            extras["min_rho"] = _extrema_table(per_min, np.minimum, lo, hi)
+        n_leaves = np.array([node.n_leaves for node in nodes])[:, None, None]
         return IntervalSums(
-            sum_durations=interval_table(prefixes.durations),
-            total_duration=self._interval_durations[start:stop],
-            n_resources=node.n_leaves,
-            sum_rho=interval_table(prefixes.rho),
-            sum_rho_log_rho=interval_table(prefixes.rho_log_rho),
-            n_cells=node.n_leaves * self._interval_lengths[start:stop],
+            sum_durations=interval_table(self._prefix_durations),
+            total_duration=self._interval_durations[None, lo:hi, lo:],
+            n_resources=n_leaves,
+            sum_rho=interval_table(self._prefix_rho),
+            sum_rho_log_rho=interval_table(self._prefix_rho_log_rho),
+            n_cells=n_leaves * self._interval_lengths[lo:hi, lo:],
             **extras,
         )
 
@@ -325,11 +370,14 @@ class IntervalStatistics:
 
         Only the upper triangle (``j >= i``) is meaningful; the lower triangle
         is zero.  Results are cached: the two arrays are views of the node's
-        rows in its height's slabs.
+        rows in its height's slabs, and the first call for a node fills the
+        rows of every node of its height still missing.
         """
         views = self._published.get(node.index)
         if views is None:
-            views = self._fill(node, self._plan.height[node.index], self._plan.slot[node.index])
+            height = self._plan.height[node.index]
+            self.height_tables(height, self._plan.levels[height].nodes)
+            views = self._published[node.index]
         return views
 
     def height_tables(
@@ -342,20 +390,17 @@ class IntervalStatistics:
         all of that height, are filled first.
         """
         if not self._complete[height]:
-            for node in nodes:
-                if node.index not in self._published:
-                    self._fill(node, height, self._plan.slot[node.index])
+            self._fill(height, [node for node in nodes if node.index not in self._published])
             self._complete[height] = len(nodes) == len(self._plan.levels[height].nodes)
         return self._gain_slabs[height], self._loss_slabs[height]
 
-    def _fill(
-        self, node: HierarchyNode, height: int, slot: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Compute and publish the slab rows of ``node``.
+    def _fill(self, height: int, nodes: Sequence[HierarchyNode]) -> None:
+        """Compute, write and publish the slab rows of ``nodes``, chunk by chunk.
 
-        The rows are computed aside and copied in whole before the node is
-        published, so a concurrent reader of a published row never sees it
-        half-written; two threads filling the same row write identical bytes.
+        A chunk's rows are computed aside and written in whole before its
+        nodes are published, so a concurrent reader of a published row never
+        sees it half-written; two threads filling the same row write
+        identical bytes.
         """
         if self._gain_slabs[height] is None:
             with self._slab_lock:
@@ -363,33 +408,46 @@ class IntervalStatistics:
                     shape = (len(self._plan.levels[height].nodes), self.n_slices, self.n_slices)
                     self._loss_slabs[height] = np.empty(shape)
                     self._gain_slabs[height] = np.empty(shape)
-        gain, loss = self._node_tables(node)
-        views = (self._gain_slabs[height][slot], self._loss_slabs[height][slot])
-        views[0][...] = gain
-        views[1][...] = loss
-        views = self._published.setdefault(node.index, views)
-        self._filled[node.index] = True
-        return views
-
-    def _node_tables(self, node: HierarchyNode) -> tuple[np.ndarray, np.ndarray]:
-        """Freshly computed ``(gain, loss)`` tables of ``node``, lower triangle zero."""
+        gain_slab, loss_slab = self._gain_slabs[height], self._loss_slabs[height]
         n_slices = self.n_slices
-        if n_slices <= TABLE_BLOCK_ROWS:
-            sums = self.interval_sums(node)
-            gain, loss = (np.asarray(t) for t in self._operator.gain_loss(sums))
-        else:
-            # Stream the start axis in row blocks: the (block, T, X) scratch
-            # tables replace the (T, T, X) ones, bounding peak memory while
-            # producing the same floats row for row.
-            gain = np.empty((n_slices, n_slices))
-            loss = np.empty((n_slices, n_slices))
-            for lo in range(0, n_slices, TABLE_BLOCK_ROWS):
-                hi = min(lo + TABLE_BLOCK_ROWS, n_slices)
-                sums = self.interval_sums(node, lo, hi)
-                block_gain, block_loss = self._operator.gain_loss(sums)
-                gain[lo:hi] = block_gain
-                loss[lo:hi] = block_loss
-        lower = ~np.triu(np.ones_like(gain, dtype=bool))
+        n_chunk, n_rows = self._chunking()
+        for start in range(0, len(nodes), n_chunk):
+            chunk = nodes[start : start + n_chunk]
+            slots = np.array([self._plan.slot[node.index] for node in chunk], dtype=np.intp)
+            for lo in range(0, n_slices, n_rows):
+                hi = min(lo + n_rows, n_slices)
+                gain, loss = self._chunk_tables(chunk, lo, hi)
+                for slab, values in ((gain_slab, gain), (loss_slab, loss)):
+                    slab[slots, lo:hi, :lo] = 0.0
+                    slab[slots, lo:hi, lo:] = values
+            for node, slot in zip(chunk, slots.tolist()):
+                self._published.setdefault(node.index, (gain_slab[slot], loss_slab[slot]))
+                self._filled[node.index] = True
+
+    def _chunking(self) -> tuple[int, int]:
+        """Nodes per chunk and start rows per block of a fill.
+
+        Whole nodes while one fits :data:`repro.core.kernels.SWEEP_BATCH_BYTES`
+        (as many as fit, at least one); otherwise one node at a time, split
+        into blocks of start rows that fit (at least one row).
+        """
+        n_slices = self.n_slices
+        row_bytes = n_slices * (self._model.n_states * _STATE_CELL_BYTES + _CELL_BYTES)
+        budget = kernels.SWEEP_BATCH_BYTES
+        if n_slices * row_bytes <= budget:
+            return budget // (n_slices * row_bytes), n_slices
+        return 1, max(1, budget // row_bytes)
+
+    def _chunk_tables(
+        self, nodes: Sequence[HierarchyNode], lo: int, hi: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(gain, loss)`` of ``nodes`` for the start rows ``[lo, hi)``.
+
+        Both ``(c, hi - lo, T - lo)``: the end columns ``j >= lo`` of the
+        rows, with the lower-triangle entries (``j < i``) zero.
+        """
+        gain, loss = self._operator.gain_loss(self._chunk_sums(nodes, lo, hi))
+        lower = np.tri(hi - lo, self.n_slices - lo, -1, dtype=bool)
         return np.where(lower, 0.0, gain), np.where(lower, 0.0, loss)
 
     def gain_loss_at(self, node: HierarchyNode, i: int, j: int) -> tuple[float, float]:

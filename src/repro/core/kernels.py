@@ -81,9 +81,12 @@ KERNEL_ENV = "REPRO_KERNEL"
 _ROW_BLOCK = 256
 
 #: Table size where auto-detection switches from ``numpy`` to ``blocked``:
-#: below it the whole ``(|T|, |T|)`` float64 table fits in the last-level
-#: cache and the transpose upkeep is pure overhead (measured crossover on
-#: commodity hardware is between |T|=1000 and |T|=1600).
+#: the auto-selection threshold, not a measured crossover.  Below it the
+#: whole ``(|T|, |T|)`` float64 table fits in the last-level cache and the
+#: transpose upkeep is pure overhead.  One unrecorded measurement, taken
+#: before the numpy tier swept a whole hierarchy height at once, had blocked
+#: 1.9x faster at |T| = 1024 and breaking even at 256; no committed bench
+#: row backs either figure.
 BLOCKED_MIN_SLICES = 1024
 
 #: Memory budget of the ``numpy`` tier's per-length temporaries.  One length

@@ -18,6 +18,7 @@ import numpy as np
 
 from ..trace.states import StateRegistry
 from ..trace.trace import Trace
+from . import kernels
 from .hierarchy import Hierarchy, HierarchyNode
 from .timeslicing import TimeSlicing
 
@@ -26,6 +27,17 @@ __all__ = ["MicroscopicModel", "MicroscopicModelError"]
 
 class MicroscopicModelError(ValueError):
     """Raised when an inconsistent microscopic model is constructed."""
+
+
+def _chunk_rows(n_slices: int) -> int:
+    """Interval rows per discretization chunk.
+
+    Each ``(rows, T)`` float scratch array of a chunk (the clipped slice
+    bounds and their overlaps) stays within
+    :data:`repro.core.kernels.SWEEP_BATCH_BYTES`, so the scratch is a few
+    budget-sized arrays whatever the trace size.
+    """
+    return max(1, kernels.SWEEP_BATCH_BYTES // (8 * n_slices))
 
 
 def _reconstruct_from_handle(handle: Any) -> "MicroscopicModel":
@@ -196,7 +208,7 @@ class MicroscopicModel:
         states: StateRegistry,
         n_slices: int = 30,
         slicing: TimeSlicing | None = None,
-        chunk_rows: int = 65536,
+        chunk_rows: int | None = None,
     ) -> "MicroscopicModel":
         """Discretize columnar interval arrays without materializing a trace.
 
@@ -208,8 +220,11 @@ class MicroscopicModel:
         rows must be in the canonical trace order (sorted by start, end), as
         written by :func:`repro.store.save_store`.
 
-        Works in chunks of ``chunk_rows`` rows so the scratch overlap matrix
-        stays small regardless of the trace size.
+        Works in chunks of ``chunk_rows`` rows (by default as many as keep
+        each scratch array within :data:`repro.core.kernels.SWEEP_BATCH_BYTES`)
+        so the scratch overlap matrix stays small regardless of the trace
+        size; ``np.add.at`` applies the rows in order, so the chunking cannot
+        change any float.
         """
         starts = np.ascontiguousarray(starts, dtype=float)
         ends = np.ascontiguousarray(ends, dtype=float)
@@ -235,6 +250,8 @@ class MicroscopicModel:
         n_slices = slicing.n_slices
         durations = np.zeros((hierarchy.n_leaves, n_slices, len(states)))
         flat = durations.reshape(-1)
+        if chunk_rows is None:
+            chunk_rows = _chunk_rows(n_slices)
         for chunk_start in range(0, n_rows, max(1, chunk_rows)):
             sl = slice(chunk_start, chunk_start + chunk_rows)
             lo = np.maximum(starts[sl], edges[0])[:, None]
@@ -255,7 +272,7 @@ class MicroscopicModel:
         ends: "np.ndarray | None" = None,
         resource_ids: "np.ndarray | None" = None,
         state_ids: "np.ndarray | None" = None,
-        chunk_rows: int = 65536,
+        chunk_rows: int | None = None,
     ) -> "MicroscopicModel":
         """A new model covering this one plus appended interval columns.
 
@@ -314,6 +331,8 @@ class MicroscopicModel:
         flat = durations.reshape(-1)
         touched = np.zeros(n_slices, dtype=bool)
         touched[n_old:] = True
+        if chunk_rows is None:
+            chunk_rows = _chunk_rows(n_slices)
         for chunk_start in range(0, n_rows, max(1, chunk_rows)):
             sl = slice(chunk_start, chunk_start + chunk_rows)
             lo = np.maximum(starts[sl], edges[0])[:, None]

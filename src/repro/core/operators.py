@@ -38,13 +38,26 @@ and ``POST /sweep``.  Five operators ship built in:
   heterogeneity lens: homogeneous areas collapse to ~0, noisy ones stand
   out.  Loss uses the same magnitude convention as ``max``/``min``.
 
-Most operators work on pre-reduced interval *sums* so that the whole
-``(i, j)`` triangular table of a node is evaluated in one vectorized call;
+Most operators work on pre-reduced interval *sums* so that the ``(i, j)``
+tables of a whole chunk of nodes are evaluated in one vectorized call;
 operators that need more than sums declare it via their ``requires``
 attribute and the statistics engine supplies the matching
 :class:`IntervalSums` fields (sum of squares for ``std``, running extrema for
 ``max``/``min``), computed so that the scalar O(1) point path and the
 broadcast table path stay bit-for-bit identical.
+
+The statistics engine hands the table path **state-major** arrays: logical
+``(c, rows, columns, X)`` views of ``(X, c, rows, columns)`` memory (see
+:mod:`repro.core.criteria`); the point path hands ``(X,)`` arrays.  The
+built-in operators are elementwise over the leading axes, so they run on
+either unchanged; they write their per-state temporaries in place
+(``out=`` / ``where=``), which keeps the layout of their inputs and the
+number of temporaries small.  Their one reduction, the sum over states, goes
+through :func:`state_sum`, which adds in the order of numpy's *contiguous*
+pairwise ``add.reduce`` (a ``+0.0`` start; sequential below 8 states, eight
+interleaved accumulators from 8 on) on any memory layout — a plain
+``sum(axis=-1)`` over a strided state axis is sequential for every ``X``
+and would change bits from 8 states on.
 """
 
 from __future__ import annotations
@@ -58,6 +71,7 @@ import numpy.typing as npt
 __all__ = [
     "xlogx",
     "safe_log2",
+    "state_sum",
     "AggregationOperator",
     "MeanOperator",
     "SumOperator",
@@ -82,22 +96,69 @@ def xlogx(values: Union[FloatArray, float]) -> Union[FloatArray, float]:
     Negative inputs (which can only arise from floating-point noise) are
     treated as zero.
     """
-    arr = np.asarray(values, dtype=float)
-    result = np.zeros_like(arr)
-    positive = arr > 0
-    result[positive] = arr[positive] * np.log2(arr[positive])
+    result = _xlogx_array(np.asarray(values, dtype=float))
     if np.isscalar(values) or np.ndim(values) == 0:
         return float(result)
     return result
 
 
+def _xlogx_array(arr: FloatArray) -> FloatArray:
+    """:func:`xlogx` of a float array, as a new array with the layout of ``arr``."""
+    result = safe_log2(arr)
+    np.multiply(arr, result, out=result, where=arr > 0)
+    return result
+
+
 def safe_log2(values: FloatArray) -> FloatArray:
-    """``log2(v)`` where ``v > 0`` and ``0`` elsewhere (callers must guard usage)."""
+    """``log2(v)`` where ``v > 0`` and ``0`` elsewhere (callers must guard usage).
+
+    The result has the memory layout of ``values``.
+    """
     arr = np.asarray(values, dtype=float)
     result = np.zeros_like(arr)
-    positive = arr > 0
-    result[positive] = np.log2(arr[positive])
+    np.log2(arr, out=result, where=arr > 0)
     return result
+
+
+def state_sum(values: FloatArray) -> FloatArray:
+    """Sum over the last (state) axis in numpy's contiguous ``add.reduce`` order.
+
+    The result is bit-identical to ``values.sum(axis=-1)`` on a C-contiguous
+    copy of ``values``, whatever the memory layout of ``values``.  numpy
+    reduces a contiguous axis of ``n`` values from a ``+0.0`` start by
+    pairwise summation: sequentially below 8 values, with 8 interleaved
+    accumulators up to 128, and by halves (rounded down to a multiple of 8)
+    above that.  The same reduction of a strided axis — the state axis of the
+    state-major interval tables — is sequential for every ``n``, so its bits
+    differ from 8 states on.  This helper adds whole ``values[..., x]``
+    slices in the contiguous order instead: each addition is one vectorized
+    call over every leading index, contiguous when the states are the
+    outermost axis in memory.
+    """
+    return np.add(0.0, _pairwise_sum(values, 0, values.shape[-1]))
+
+
+def _pairwise_sum(values: FloatArray, start: int, n: int) -> FloatArray:
+    """numpy's pairwise sum of ``values[..., start:start + n]``."""
+    if n > 128:
+        half = n // 2
+        half -= half % 8
+        return np.add(
+            _pairwise_sum(values, start, half), _pairwise_sum(values, start + half, n - half)
+        )
+    total: FloatArray = np.zeros(values.shape[:-1])
+    stop = start
+    if n >= 8:
+        stop = start + n - n % 8
+        partial = [np.array(values[..., start + k]) for k in range(8)]
+        for x in range(start + 8, stop, 8):
+            for k in range(8):
+                partial[k] += values[..., x + k]
+        pairs = [np.add(partial[k], partial[k + 1]) for k in range(0, 8, 2)]
+        total = np.add(np.add(pairs[0], pairs[1]), np.add(pairs[2], pairs[3]))
+    for x in range(stop, start + n):
+        total += values[..., x]
+    return total
 
 
 @dataclass(frozen=True)
@@ -188,15 +249,31 @@ def _representative_gain_loss(
     otherwise, keeping ``loss >= 0`` (and the pIC trade-off meaningful) for
     every registered operator.
     """
-    log_macro = safe_log2(macro)
-    gain_per_state = xlogx(macro) - sums.sum_rho_log_rho
-    loss_per_state = sums.sum_rho_log_rho - sums.sum_rho * log_macro
-    dead = (macro <= 0) & (sums.sum_rho <= 0)
-    gain_per_state = np.where(dead, 0.0, gain_per_state)
-    loss_per_state = np.where(dead, 0.0, loss_per_state)
+    # Every per-state step writes in place, so a call holds the macro value,
+    # its log (reused for the loss), the gain and a mask at a time, all in
+    # the memory layout of ``macro``.
+    positive = macro > 0
+    log_macro = np.zeros_like(macro)
+    np.log2(macro, out=log_macro, where=positive)  # safe_log2(macro)
+    gain_per_state = np.zeros_like(macro)
+    np.multiply(macro, log_macro, out=gain_per_state, where=positive)  # xlogx(macro)
+    gain_per_state -= sums.sum_rho_log_rho
+    loss_per_state = np.multiply(sums.sum_rho, log_macro, out=log_macro)
+    np.subtract(sums.sum_rho_log_rho, loss_per_state, out=loss_per_state)
+    dead = macro <= 0
+    dead &= sums.sum_rho <= 0
+    np.copyto(gain_per_state, 0.0, where=dead)
+    np.copyto(loss_per_state, 0.0, where=dead)
     if absolute_loss:
-        loss_per_state = np.abs(loss_per_state)
-    return gain_per_state.sum(axis=-1), loss_per_state.sum(axis=-1)
+        np.abs(loss_per_state, out=loss_per_state)
+    return state_sum(gain_per_state), state_sum(loss_per_state)
+
+
+def _positive_or_one(values: npt.ArrayLike) -> FloatArray:
+    """A float copy of ``values`` with every entry that is not positive set to 1."""
+    result = np.array(values, dtype=float)
+    np.copyto(result, 1.0, where=np.logical_not(result > 0))
+    return result
 
 
 class MeanOperator:
@@ -207,10 +284,9 @@ class MeanOperator:
 
     def macro_proportions(self, sums: IntervalSums) -> FloatArray:
         """Eq. 1: duration-weighted proportion averaged over the resources."""
-        denominator = np.asarray(sums.n_resources, dtype=float) * np.asarray(
-            sums.total_duration, dtype=float
+        denominator = _positive_or_one(
+            np.asarray(sums.n_resources, dtype=float) * np.asarray(sums.total_duration, dtype=float)
         )
-        denominator = np.where(denominator > 0, denominator, 1.0)
         return np.asarray(sums.sum_durations, dtype=float) / denominator[..., None]
 
     def gain_loss(self, sums: IntervalSums) -> Tuple[FloatArray, FloatArray]:
@@ -231,15 +307,16 @@ class SumOperator:
     def gain_loss(self, sums: IntervalSums) -> Tuple[FloatArray, FloatArray]:
         """Entropy gain and KL loss against a uniform redistribution of the sum."""
         total = np.asarray(sums.sum_rho, dtype=float)
-        n_cells = np.asarray(sums.n_cells, dtype=float)
-        n_cells = np.where(n_cells > 0, n_cells, 1.0)
-        gain_per_state = xlogx(total) - sums.sum_rho_log_rho
-        uniform = total / n_cells[..., None]
-        loss_per_state = sums.sum_rho_log_rho - total * safe_log2(uniform)
+        n_cells = _positive_or_one(sums.n_cells)
+        gain_per_state = _xlogx_array(total)
+        gain_per_state -= sums.sum_rho_log_rho
+        loss_per_state = safe_log2(total / n_cells[..., None])  # log2 of the uniform share
+        np.multiply(total, loss_per_state, out=loss_per_state)
+        np.subtract(sums.sum_rho_log_rho, loss_per_state, out=loss_per_state)
         zero_total = total <= 0
-        gain_per_state = np.where(zero_total, 0.0, gain_per_state)
-        loss_per_state = np.where(zero_total, 0.0, loss_per_state)
-        return gain_per_state.sum(axis=-1), loss_per_state.sum(axis=-1)
+        np.copyto(gain_per_state, 0.0, where=zero_total)
+        np.copyto(loss_per_state, 0.0, where=zero_total)
+        return state_sum(gain_per_state), state_sum(loss_per_state)
 
 
 class MaxOperator:
@@ -300,11 +377,12 @@ class StdOperator:
         """
         if sums.sum_sq_rho is None:
             raise ValueError("the 'std' operator needs IntervalSums.sum_sq_rho")
-        n_cells = np.asarray(sums.n_cells, dtype=float)
-        n_cells = np.where(n_cells > 0, n_cells, 1.0)
-        mean = np.asarray(sums.sum_rho, dtype=float) / n_cells[..., None]
-        mean_sq = np.asarray(sums.sum_sq_rho, dtype=float) / n_cells[..., None]
-        return np.sqrt(np.maximum(mean_sq - mean * mean, 0.0))
+        n_cells = _positive_or_one(sums.n_cells)[..., None]
+        mean = np.asarray(sums.sum_rho, dtype=float) / n_cells
+        variance = np.asarray(sums.sum_sq_rho, dtype=float) / n_cells
+        np.subtract(variance, np.multiply(mean, mean, out=mean), out=variance)
+        np.maximum(variance, 0.0, out=variance)
+        return np.sqrt(variance, out=variance)
 
     def gain_loss(self, sums: IntervalSums) -> Tuple[FloatArray, FloatArray]:
         """Eq. 2-3 template with the standard deviation as the representative value.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -112,44 +113,58 @@ class TestMacroProportions:
 
 
 class TestConcurrentFirstUse:
-    """Threads sharing one aggregator never read a half-written slab row."""
+    """Threads sharing one statistics engine never read a half-written slab row."""
 
-    def test_reader_gets_complete_tables_while_a_filler_is_held(self, monkeypatch):
+    @staticmethod
+    def _model():
         rng = np.random.default_rng(3)
-        model = MicroscopicModel.from_proportions(
+        return MicroscopicModel.from_proportions(
             rng.random((6, 5, 2)) / 2.0, Hierarchy.balanced(6, fanout=2), StateRegistry(["a", "b"])
         )
-        reference = SpatiotemporalAggregator(model).compute_tables_reference(0.5)
-        shared = SpatiotemporalAggregator(model)
 
-        # The filler thread stops inside its first row fill: the row's values
-        # are computed but not yet in the slab.  A row published before it is
-        # written would hand the reader the slab's uninitialized memory.
+    @staticmethod
+    def _beside_held_filler(monkeypatch, fill, read):
+        """Run ``read()`` while a "filler" thread running ``fill()`` is held.
+
+        The filler stops inside its first chunk fill, with the chunk's values
+        computed but not yet in the slab: a row published before it is
+        written would hand the reader the slab's uninitialized memory.
+        Returns both results.
+        """
         held, release = threading.Event(), threading.Event()
-        compute = IntervalStatistics._node_tables
+        compute = IntervalStatistics._chunk_tables
 
-        def hooked(self, node):
-            tables = compute(self, node)
+        def hooked(self, nodes, lo, hi):
+            tables = compute(self, nodes, lo, hi)
             if threading.current_thread().name == "filler" and not held.is_set():
                 held.set()
                 release.wait(timeout=30)
             return tables
 
-        monkeypatch.setattr(IntervalStatistics, "_node_tables", hooked)
+        monkeypatch.setattr(IntervalStatistics, "_chunk_tables", hooked)
         results = {}
 
-        def run(name):
-            results[name] = shared.compute_tables(0.5)
+        def run():
+            results["filler"] = fill()
 
-        filler = threading.Thread(target=run, args=("filler",), name="filler")
+        filler = threading.Thread(target=run, name="filler")
         filler.start()
         try:
             assert held.wait(timeout=30)
-            run("reader")
+            results["reader"] = read()
         finally:
             release.set()
             filler.join(timeout=30)
         assert not filler.is_alive()
+        return results
+
+    def test_reader_gets_complete_tables_while_a_filler_is_held(self, monkeypatch):
+        model = self._model()
+        reference = SpatiotemporalAggregator(model).compute_tables_reference(0.5)
+        shared = SpatiotemporalAggregator(model)
+        results = self._beside_held_filler(
+            monkeypatch, lambda: shared.compute_tables(0.5), lambda: shared.compute_tables(0.5)
+        )
         for name in ("reader", "filler"):
             tables = results[name]
             assert tables.keys() == reference.keys()
@@ -157,3 +172,61 @@ class TestConcurrentFirstUse:
                 assert np.array_equal(tables[key].pic, reference[key].pic), (name, key)
                 assert np.array_equal(tables[key].cut, reference[key].cut), (name, key)
                 assert np.array_equal(tables[key].count, reference[key].count), (name, key)
+
+    def test_threads_touching_different_nodes_of_one_height(self, monkeypatch):
+        # Both first touches fill the same height: the reader's node is in
+        # the chunk the filler is held in.
+        model = self._model()
+        first, last = model.hierarchy.leaves[0], model.hierarchy.leaves[-1]
+        reference = IntervalStatistics(model)
+        shared = IntervalStatistics(model)
+
+        def copied_tables(node):
+            return lambda: tuple(np.array(table) for table in shared.tables(node))
+
+        results = self._beside_held_filler(monkeypatch, copied_tables(first), copied_tables(last))
+        for name, node in (("filler", first), ("reader", last)):
+            for got, want in zip(results[name], reference.tables(node)):
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
+
+    def test_many_threads_first_touch_under_fast_switching(self):
+        # More threads than cores, each first touching one node of a fresh
+        # shared engine, with the interpreter switching threads as often as
+        # it can: every copy taken must equal an unshared engine's tables.
+        rng = np.random.default_rng(5)
+        model = MicroscopicModel.from_proportions(
+            rng.random((16, 12, 3)) / 3.0, Hierarchy.balanced(16, fanout=2), StateRegistry(list("abc"))
+        )
+        nodes = list(model.hierarchy.iter_nodes())
+        reference = IntervalStatistics(model)
+        expected = {node.index: reference.tables(node) for node in nodes}
+        n_threads = 8
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(5):
+                shared = IntervalStatistics(model)
+                barrier = threading.Barrier(n_threads, timeout=30)
+                results, errors = {}, []
+
+                def run(k, shared=shared, barrier=barrier, results=results, errors=errors):
+                    try:
+                        barrier.wait()
+                        node = nodes[(7 * k + round_) % len(nodes)]
+                        results[k] = (node.index, [np.array(t) for t in shared.tables(node)])
+                    except Exception as exc:  # reported below with the others
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=run, args=(k,)) for k in range(n_threads)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                assert not errors, errors
+                assert len(results) == n_threads
+                for index, tables in results.values():
+                    for got, want in zip(tables, expected[index]):
+                        assert np.array_equal(got.view(np.int64), want.view(np.int64)), index
+        finally:
+            sys.setswitchinterval(interval)

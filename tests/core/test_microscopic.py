@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import kernels, microscopic
 from repro.core.hierarchy import Hierarchy
 from repro.core.microscopic import MicroscopicModel, MicroscopicModelError
 from repro.core.timeslicing import TimeSlicing
@@ -245,3 +246,54 @@ class TestExtend:
         for start, stop in [(-1, 2), (2, 2), (3, 2), (0, 5)]:
             with pytest.raises(MicroscopicModelError, match="window"):
                 model.window(start, stop)
+
+
+class TestChunkedDiscretization:
+    """Discretization works in chunks of interval rows; the chunking must
+    not change a bit, and the default chunk keeps the scratch in budget."""
+
+    @staticmethod
+    def _columns(n_resources=8, per_resource=150, n_states=4, seed=3):
+        # Back-to-back random intervals per resource, in canonical order.
+        rng = np.random.default_rng(seed)
+        starts, ends, resources = [], [], []
+        for r in range(n_resources):
+            edges = np.cumsum(rng.random(2 * per_resource))
+            starts.append(edges[0::2])
+            ends.append(edges[1::2])
+            resources.append(np.full(per_resource, r))
+        starts, ends, resources = map(np.concatenate, (starts, ends, resources))
+        order = np.lexsort((ends, starts))
+        states = rng.integers(0, n_states, starts.size)
+        return starts[order], ends[order], resources[order], states
+
+    @pytest.mark.parametrize("n_slices", [5, 64])
+    def test_chunking_is_bitwise_invisible(self, n_slices):
+        starts, ends, resources, states = self._columns()
+        hierarchy = Hierarchy.balanced(8, fanout=2)
+        registry = StateRegistry(["a", "b", "c", "d"])
+        k = 2 * starts.size // 3
+
+        def build(chunk_rows):
+            whole = MicroscopicModel.from_columns(
+                starts, ends, resources, states, hierarchy, registry,
+                n_slices=n_slices, chunk_rows=chunk_rows,
+            )
+            head = MicroscopicModel.from_columns(
+                starts[:k], ends[:k], resources[:k], states[:k], hierarchy, registry,
+                n_slices=n_slices, chunk_rows=chunk_rows,
+            )
+            tail = head.extend(starts[k:], ends[k:], resources[k:], states[k:], chunk_rows)
+            return whole.durations.tobytes(), tail.durations.tobytes()
+
+        one_chunk = build(starts.size)
+        for chunk_rows in (1, 7, None):
+            assert build(chunk_rows) == one_chunk, chunk_rows
+
+    def test_default_chunk_scratch_stays_within_budget(self, monkeypatch):
+        for n_slices in (1, 30, 128, 5000):
+            rows = microscopic._chunk_rows(n_slices)
+            assert rows * n_slices * 8 <= kernels.SWEEP_BATCH_BYTES
+            assert (rows + 1) * n_slices * 8 > kernels.SWEEP_BATCH_BYTES
+        monkeypatch.setattr(kernels, "SWEEP_BATCH_BYTES", 0)
+        assert microscopic._chunk_rows(30) == 1

@@ -13,6 +13,7 @@ from repro.core.operators import (
     get_operator,
     pic,
     safe_log2,
+    state_sum,
     xlogx,
 )
 
@@ -168,6 +169,39 @@ class TestSumOperator:
         cells = np.array([[0.2, 0.1], [0.3, 0.4]])
         macro = SumOperator().macro_proportions(sums_from_cells(cells))
         assert np.allclose(macro, cells.sum(axis=0))
+
+
+class TestStateSum:
+    """``state_sum`` reproduces numpy's contiguous reduce on state-major memory."""
+
+    @staticmethod
+    def _values(n_states: int) -> np.ndarray:
+        rng = np.random.default_rng(n_states)
+        # Mixed magnitudes: every row spans many orders of magnitude.
+        values = rng.normal(size=(12, n_states)) * 10.0 ** rng.integers(-200, 200, (12, n_states))
+        values[0] = -0.0  # numpy's sum is +0.0 here, whatever the length
+        values[1, ::2] = -0.0
+        values[1, 1::2] = 0.0
+        values[2, n_states // 2] = np.inf
+        values[3, -1] = -np.inf
+        values[4, 0] = np.inf
+        values[4, -1] = -np.inf
+        values[5] = rng.random(n_states)
+        return values
+
+    @pytest.mark.parametrize("n_states", list(range(1, 65)) + [127, 128, 129, 200, 257])
+    @np.errstate(invalid="ignore")  # inf + -inf in row 4
+    def test_bitwise_identical_to_contiguous_sum(self, n_states):
+        values = self._values(n_states)
+        expected = values.sum(axis=-1).view(np.int64)
+        # The (X, rows) memory the table path hands the operators.
+        state_major = np.moveaxis(np.ascontiguousarray(np.moveaxis(values, -1, 0)), 0, -1)
+        assert np.array_equal(state_sum(state_major).view(np.int64), expected)
+        assert np.array_equal(state_sum(values).view(np.int64), expected)
+        # The (X,) point path.
+        points = [np.float64(state_sum(row)).view(np.int64) for row in values]
+        assert np.array_equal(points, expected)
+        assert not np.signbit(state_sum(state_major)[0])
 
 
 class TestOperatorsOnModels:

@@ -1,4 +1,4 @@
-"""Memory bound of the slab passes of Algorithm 1.
+"""Memory bound of the slab passes of Algorithm 1 and of its gain/loss tables.
 
 Stacking every node of one hierarchy height into one slab must not let the
 temporaries grow with the number of nodes: the base tables
@@ -9,6 +9,11 @@ tables it returns, ``compute_tables`` may therefore allocate at most that
 budget more than the same passes run one node at a time (a budget of 0
 bytes: one-node chunks).  Fanout 8 makes the sweep the largest slab
 temporary; fanout 2, with 128 parents at height 1, the merge.
+
+The gain/loss tables ``build_tables`` fills obey the same bound beyond their
+slabs: the interval sums and operator temporaries of a height are built one
+chunk of nodes at a time, and a node too big for the budget one block of
+start rows at a time (a budget of 0 bytes: one start row of one node).
 """
 
 from __future__ import annotations
@@ -58,3 +63,43 @@ def test_batched_peak_within_per_node_peak_plus_budget(monkeypatch, n_leaves, fa
     # see (both runs would then allocate the whole slab).
     node_bytes = 64 * 64 * (8 + 4 + 4)
     assert per_node <= 16 * node_bytes, (per_node, node_bytes)
+
+
+def _build_peak_beyond_slabs(model: MicroscopicModel) -> int:
+    """tracemalloc peak of ``build_tables`` minus the bytes of the gain/loss slabs."""
+    aggregator = SpatiotemporalAggregator(model, kernel="numpy")
+    tracemalloc.start()
+    try:
+        aggregator.build_tables()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    levels = enumerate(model.hierarchy.height_plan.levels)
+    slabs = [aggregator.stats.height_tables(height, level.nodes) for height, level in levels]
+    return peak - sum(gain.nbytes + loss.nbytes for gain, loss in slabs)
+
+
+@pytest.mark.parametrize("n_leaves, n_slices", [(64, 32), (4, 160)])
+def test_table_build_peak_within_per_node_peak_plus_budget(monkeypatch, n_leaves, n_slices):
+    # 64 x 32: a height is several chunks of whole nodes; 4 x 160: one
+    # node's tables exceed the budget, so the default budget splits rows.
+    rng = np.random.default_rng(11)
+    rho = rng.random((n_leaves, n_slices, 2)) / 2.0
+    model = MicroscopicModel.from_proportions(
+        rho, Hierarchy.balanced(n_leaves, fanout=4), StateRegistry(["a", "b"])
+    )
+    model.cumulative_tables()  # shared by every engine over the model
+
+    budget = kernels.SWEEP_BATCH_BYTES
+    batched = _build_peak_beyond_slabs(model)
+    monkeypatch.setattr(kernels, "SWEEP_BATCH_BYTES", 0)
+    per_node = _build_peak_beyond_slabs(model)
+    assert batched <= per_node + budget, (batched, per_node, budget)
+    # One start row of one node at a time holds far less than the four
+    # one-node tables' worth below, plus up to 256 KiB the interpreter keeps
+    # (freelists, the published row views); a whole node's interval sums
+    # and operator temporaries take about fifteen.  This fails if a fill
+    # ignores the budget, which the first bound cannot see (both runs would
+    # then hold as much).
+    node_bytes = n_slices * n_slices * 8
+    assert per_node <= 4 * node_bytes + 2**18, (per_node, node_bytes)
