@@ -75,7 +75,7 @@ from common import (  # noqa: E402
 
 from repro.batch import analysis_params, discover_corpus, run_batch  # noqa: E402
 from repro.core.microscopic import MicroscopicModel  # noqa: E402
-from repro.service.serializer import (  # noqa: E402
+from repro.pipeline.payloads import (  # noqa: E402
     analysis_payload,
     run_analysis,
     serialize_payload,

@@ -7,7 +7,7 @@ Two questions, each measured on a grid of synthetic traces:
   store's columnar arrays are what :meth:`MicroscopicModel.from_columns`
   consumes directly; the full ``load_trace`` materialization is reported as
   a secondary number for interval-level workflows.
-* **query** — how much faster is a warm :class:`AnalysisSession` query (LRU
+* **query** — how much faster is a warm :class:`AnalysisEngine` query (LRU
   result-cache hit) than the cold path (model discretization + prefix-sum
   warm-up + dynamic program + serialization)?  A third leg measures the cold
   *result* with a warm *model cache* — what a freshly restarted server pays
@@ -40,7 +40,7 @@ if str(ROOT / "src") not in sys.path:
 
 from common import bench_meta, GateMetric, check_ratio_regression, time_call  # noqa: E402
 
-from repro.service import AnalysisSession  # noqa: E402
+from repro.pipeline import AnalysisEngine, AnalysisRequest  # noqa: E402
 from repro.store import open_store, save_store  # noqa: E402
 from repro.trace.io import read_csv, write_csv  # noqa: E402
 from repro.trace.synthetic import random_trace  # noqa: E402
@@ -78,25 +78,25 @@ def bench_cell(
     store_load = time_call(lambda: open_store(store_path).columns(), repeats)
     store_trace = time_call(lambda: open_store(store_path).load_trace(), repeats)
 
+    def query(engine: AnalysisEngine) -> str:
+        return engine.execute(AnalysisRequest.from_query(p=p, slices=n_slices))
+
     def cold_query() -> None:
         shutil.rmtree(store_path / "models", ignore_errors=True)
-        session = AnalysisSession(open_store(store_path))
-        session.aggregate_json(p=p, slices=n_slices)
+        query(AnalysisEngine(open_store(store_path)))
 
     cold = time_call(cold_query, repeats)
 
     # Restarted-server leg: the result cache is empty but the store already
     # holds the discretized model and its prefix tables.
-    session = AnalysisSession(open_store(store_path))
-    session.aggregate_json(p=p, slices=n_slices)
+    query(AnalysisEngine(open_store(store_path)))
     model_cached = time_call(
-        lambda: AnalysisSession(open_store(store_path)).aggregate_json(p=p, slices=n_slices),
-        repeats,
+        lambda: query(AnalysisEngine(open_store(store_path))), repeats
     )
 
-    warm_session = AnalysisSession(open_store(store_path))
-    warm_session.aggregate_json(p=p, slices=n_slices)
-    warm = time_call(lambda: warm_session.aggregate_json(p=p, slices=n_slices), max(repeats, 5))
+    warm_session = AnalysisEngine(open_store(store_path))
+    query(warm_session)
+    warm = time_call(lambda: query(warm_session), max(repeats, 5))
 
     return {
         "resources": n_resources,

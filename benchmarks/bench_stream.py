@@ -9,7 +9,7 @@ the append:
   model, warm its prefix tables, and re-run the whole-trace analysis cold —
   the only query shape the service knew before windowing existed;
 * **extend + windowed re-query** — the streaming workflow of
-  :class:`repro.service.AnalysisSession`: :meth:`TraceStore.refresh` loads
+  :class:`repro.pipeline.AnalysisEngine`: :meth:`TraceStore.refresh` loads
   only the new chunk, :meth:`MicroscopicModel.extend` grows the duration
   cube and prefix tables in O(tail intervals + touched slice columns), and
   the re-query analyzes only the live window (the trailing slices the tail
@@ -47,7 +47,12 @@ from common import bench_meta, GateMetric, check_ratio_regression, time_call  # 
 
 from repro.core.microscopic import MicroscopicModel  # noqa: E402
 from repro.core.spatiotemporal import SpatiotemporalAggregator  # noqa: E402
-from repro.service.serializer import run_analysis, serialize_payload, analysis_payload, trace_summary  # noqa: E402
+from repro.pipeline.payloads import (  # noqa: E402
+    analysis_payload,
+    run_analysis,
+    serialize_payload,
+    trace_summary,
+)
 from repro.store import StoreWriter, open_store, save_store  # noqa: E402
 from repro.store.store import TraceStore  # noqa: E402
 from repro.trace.synthetic import random_trace  # noqa: E402

@@ -10,7 +10,7 @@ Lifts the single-trace pipeline to a *corpus* — a directory (or manifest) of
   models, with structured per-trace error reporting;
 * :mod:`repro.batch.compare` — partition diffs at matched ``p``,
   per-resource deviation deltas, and the corpus heterogeneity ranking behind
-  ``repro compare`` / ``POST /compare`` and the batch summary table.
+  ``repro compare`` / ``POST /v1/compare`` and the batch summary table.
 """
 
 from .compare import (

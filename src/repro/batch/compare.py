@@ -4,7 +4,7 @@ The machine-readable payloads — partition diffs keyed by grid footprint with
 Jaccard similarity, per-resource deviation deltas, summary deltas, and the
 corpus heterogeneity ranking — are assembled by
 :mod:`repro.pipeline.payloads` (the single producer feeding ``repro compare
---json`` / ``POST /compare`` and ``repro batch --json`` / ``POST /batch``,
+--json`` / ``POST /v1/compare`` and ``repro batch --json`` / ``POST /v1/batch``,
 byte-identical by construction).  This module re-exports those builders
 under their historical names and renders the payloads as the plain-text
 reports the CLI prints by default.

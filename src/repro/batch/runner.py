@@ -8,7 +8,7 @@ the corpus ranking of :func:`~repro.pipeline.payloads.batch_payload`.
 Per-trace payloads are produced by the pipeline's one-shot path
 (:func:`~repro.pipeline.executor.analyze_source` through
 :mod:`repro.pipeline.payloads`) — the exact code behind
-``repro analyze --json`` / ``POST /analyze`` — so a batch run over a corpus
+``repro analyze --json`` / ``POST /v1/analyze`` — so a batch run over a corpus
 is byte-identical to analyzing each member individually, by construction.
 Store-backed members resolve through
 :class:`~repro.pipeline.resolver.StoreSource`, i.e. they *reuse the engine's

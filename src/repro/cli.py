@@ -19,11 +19,12 @@ Seven subcommands cover the typical workflow without writing Python:
   appended rows become appended chunks (cheap steady state), dimension
   changes trigger a rebuild with a bumped generation;
 * ``serve`` — answer aggregation queries over a JSON HTTP API
-  (``GET /traces``, ``POST /analyze``, ``POST /sweep``, ``POST /append``,
-  ``POST /batch``, ``POST /compare``, ``GET /health``); traces are pinned
-  explicitly and/or served lazily from a corpus (``--corpus``) behind an
-  LRU bound (``--max-sessions``); SIGTERM/SIGINT shut the server down
-  gracefully (in-flight requests drain, sessions are released).
+  (``GET /v1/traces``, ``POST /v1/analyze``, ``POST /v1/sweep``,
+  ``POST /v1/append``, ``POST /v1/batch``, ``POST /v1/compare``,
+  ``GET /v1/health``); traces are pinned explicitly and/or served lazily
+  from a corpus (``--corpus``) behind an LRU bound (``--max-sessions``);
+  SIGTERM/SIGINT shut the server down gracefully (in-flight requests
+  drain, sessions are released).
 
 Every query-shaped command builds a typed request
 (:class:`~repro.pipeline.requests.AnalysisRequest` and friends), resolves
@@ -139,15 +140,15 @@ def build_parser() -> argparse.ArgumentParser:
                               "parallel runs return the same partition)")
     analyze.add_argument("--json", action="store_true",
                          help="emit the machine-readable JSON report (byte-identical to "
-                              "the service's POST /analyze) instead of the text report")
+                              "the service's POST /v1/analyze) instead of the text report")
     analyze.add_argument("--window", default=None, metavar="last:K|T0:T1",
                          help="restrict the analysis to a slice window: 'last:K' for the "
                               "trailing K slices or 'T0:T1' for the slices covering the "
                               "time span [T0, T1)")
     analyze.add_argument("--kernel", choices=("auto",) + kernels, default=None,
                          help="dynamic-program kernel tier (default: auto — numba when "
-                              "installed, else the blocked numpy kernel; all tiers are "
-                              "bit-identical)")
+                              "installed, else numpy below 1024 slices and the blocked "
+                              "numpy kernel from 1024 on; all tiers are bit-identical)")
     analyze.add_argument("--trace-out", default=None, metavar="PATH",
                          help="record a span trace of this run and write it as "
                               "Chrome trace-event JSON (open in chrome://tracing "
@@ -160,8 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="corpus directory (stores + CSV/Paje files, optionally "
                             "with a corpus.json manifest) or a manifest file")
     batch.add_argument("--jobs", type=int, default=1,
-                       help="worker processes, one corpus trace per shard "
-                            "(default: 1, serial; results are identical)")
+                       help="worker processes, each analyzing one corpus member at a "
+                            "time (default: 1, serial; results are identical)")
     batch.add_argument("-p", "--parameter", type=float, default=0.7,
                        help="gain/loss trade-off in [0, 1] (default: 0.7)")
     batch.add_argument("--slices", type=int, default=30,
@@ -174,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="restrict every member's analysis to the same slice window "
                             "('last:K' or 'T0:T1') — a fleet-wide recent-activity pass")
     batch.add_argument("--kernel", choices=("auto",) + kernels, default=None,
-                       help="dynamic-program kernel tier for every shard (default: auto)")
+                       help="dynamic-program kernel tier for every member (default: auto)")
     batch.add_argument("--output", default=None, metavar="DIR",
                        help="write per-trace analysis JSON files and batch.json here")
     batch.add_argument("--json", action="store_true",
@@ -199,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="excess blocking proportion flagged as anomalous (default: 0.1)")
     compare.add_argument("--json", action="store_true",
                          help="emit the machine-readable comparison payload "
-                              "(byte-identical to the service's POST /compare)")
+                              "(byte-identical to the service's POST /v1/compare)")
 
     convert = subparsers.add_parser(
         "convert", help="convert a trace file into a binary .rtz trace store"
@@ -807,7 +808,8 @@ def _command_serve(args: argparse.Namespace) -> int:
     import signal
     import threading
 
-    from .service import AnalysisSession, ServiceError, SessionRegistry, build_server
+    from .pipeline import AnalysisEngine, PipelineError
+    from .service import SessionRegistry, build_server
     from .store import is_store, open_store
 
     if not args.traces and not args.corpus:
@@ -835,7 +837,7 @@ def _command_serve(args: argparse.Namespace) -> int:
             print(f"error: {flag} requires --shards (it configures the "
                   "cluster front-end)", file=sys.stderr)
             return 2
-    sessions: "dict[str, AnalysisSession]" = {}
+    sessions: "dict[str, AnalysisEngine]" = {}
     for path_text in args.traces:
         name = Path(path_text).stem or path_text
         if name in sessions:
@@ -843,7 +845,7 @@ def _command_serve(args: argparse.Namespace) -> int:
             return 2
         if is_store(path_text):
             try:
-                sessions[name] = AnalysisSession(open_store(path_text), name=name)
+                sessions[name] = AnalysisEngine(open_store(path_text), name=name)
             except TraceIOError as exc:
                 print(f"error: cannot open store: {exc}", file=sys.stderr)
                 return 2
@@ -851,7 +853,7 @@ def _command_serve(args: argparse.Namespace) -> int:
             loaded = _load_trace_argument(path_text)
             if isinstance(loaded, int):
                 return loaded
-            sessions[name] = AnalysisSession(loaded, name=name)
+            sessions[name] = AnalysisEngine(loaded, name=name)
     corpus = None
     if args.corpus:
         from .batch import load_corpus
@@ -871,7 +873,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         if args.trace_sample is not None:
             server_kwargs["trace_sample"] = args.trace_sample
         server = build_server(registry, host=args.host, port=args.port, **server_kwargs)
-    except (ServiceError, OSError) as exc:
+    except (PipelineError, OSError) as exc:
         print(f"error: cannot start the service: {exc}", file=sys.stderr)
         return 2
     host, port = server.server_address[:2]
@@ -913,7 +915,7 @@ def _command_serve_cluster(args: argparse.Namespace) -> int:
     import signal
     import threading
 
-    from .service import ServiceError
+    from .pipeline import PipelineError
     from .service.cluster import ClusterConfig, start_cluster
 
     if args.shards < 1:
@@ -959,7 +961,7 @@ def _command_serve_cluster(args: argparse.Namespace) -> int:
             max_sessions=args.max_sessions,
             config=config,
         )
-    except (ServiceError, TraceIOError, OSError) as exc:
+    except (PipelineError, TraceIOError, OSError) as exc:
         print(f"error: cannot start the service: {exc}", file=sys.stderr)
         return 2
     host, port = handle.address

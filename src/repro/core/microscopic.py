@@ -516,54 +516,6 @@ class MicroscopicModel:
         totals = self._durations.sum(axis=(0, 1))
         return {self._states.name(i): float(totals[i]) for i in range(self.n_states)}
 
-    # ------------------------------------------------------------------ #
-    # Persistence
-    # ------------------------------------------------------------------ #
-    def save_npz(self, path: str, include_tables: bool = False) -> None:
-        """Save the cube and its dimension descriptions to an ``.npz`` file.
-
-        With ``include_tables=True`` the cached resource-axis prefix sums of
-        :meth:`cumulative_tables` are persisted as well (computing them first
-        if needed), so a reloaded model skips straight to answering interval
-        statistics queries — this is what the trace store's model cache uses.
-        """
-        arrays: dict[str, np.ndarray] = {
-            "durations": self._durations,
-            "edges": self._slicing.edges,
-            "leaf_paths": np.array(
-                ["/".join(leaf.path) for leaf in self._hierarchy.leaves], dtype=object
-            ),
-            "state_names": np.array(list(self._states.names), dtype=object),
-        }
-        if include_tables:
-            cum_durations, cum_proportions, cum_xlogx = self.cumulative_tables()
-            arrays["cum_durations"] = cum_durations
-            arrays["cum_proportions"] = cum_proportions
-            arrays["cum_xlogx"] = cum_xlogx
-        np.savez_compressed(path, **arrays)
-
-    @classmethod
-    def load_npz(cls, path: str) -> "MicroscopicModel":
-        """Load a model saved by :meth:`save_npz` (restoring cached tables)."""
-        with np.load(path, allow_pickle=True) as data:
-            durations = data["durations"]
-            edges = data["edges"]
-            leaf_paths = [tuple(p.split("/")) for p in data["leaf_paths"].tolist()]
-            state_names = data["state_names"].tolist()
-            cumulatives = None
-            if "cum_durations" in data:
-                cumulatives = (
-                    data["cum_durations"],
-                    data["cum_proportions"],
-                    data["cum_xlogx"],
-                )
-        hierarchy = Hierarchy.from_paths(leaf_paths)
-        slicing = TimeSlicing(edges)
-        states = StateRegistry(state_names)
-        model = cls(durations, hierarchy, slicing, states)
-        model._cumulatives = cumulatives
-        return model
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
             f"MicroscopicModel(R={self.n_resources}, T={self.n_slices}, "

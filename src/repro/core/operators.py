@@ -13,8 +13,8 @@ The parametrized information criterion (Eq. 4) is
 Operators are looked up by name through a **registry**
 (:func:`register_operator` / :func:`available_operators` /
 :func:`get_operator`), which is the single source of the operator vocabulary
-exposed by ``repro analyze --operator``, ``repro batch``, ``POST /analyze``
-and ``POST /sweep``.  Five operators ship built in:
+exposed by ``repro analyze --operator``, ``repro batch``, ``POST /v1/analyze``
+and ``POST /v1/sweep``.  Five operators ship built in:
 
 * :class:`MeanOperator` (``mean``) implements Eq. 1-3 *exactly as written in
   the paper*: the aggregated proportion is the duration-weighted

@@ -55,13 +55,9 @@ class SpatialAggregator:
     ----------
     model:
         The microscopic model; it is reduced to its time-integrated form
-        internally (set ``integrate_time=False`` to aggregate on the full
-        spatiotemporal loss instead, i.e. to evaluate each node against all
-        its microscopic cells over the whole window).
+        internally.
     operator:
         Aggregation operator (paper default: mean).
-    integrate_time:
-        See above.
     """
 
     #: Minimum improvement required to split a node (see SpatiotemporalAggregator).
@@ -71,12 +67,10 @@ class SpatialAggregator:
         self,
         model: MicroscopicModel,
         operator: "AggregationOperator | str | None" = None,
-        integrate_time: bool = True,
     ):
         self._model = model
         self._operator = get_operator(operator)
-        self._integrate_time = integrate_time
-        reduced = time_integrated_model(model) if integrate_time else model
+        reduced = time_integrated_model(model)
         self._stats = IntervalStatistics(reduced, self._operator)
         self._reduced = reduced
 

@@ -59,24 +59,19 @@ class TemporalAggregator:
     ----------
     model:
         The microscopic model; it is reduced to its spatially-aggregated form
-        internally (set ``integrate_space=False`` to segment using the full
-        spatiotemporal loss of the root node instead).
+        internally.
     operator:
         Aggregation operator.
-    integrate_space:
-        See above.
     """
 
     def __init__(
         self,
         model: MicroscopicModel,
         operator: "AggregationOperator | str | None" = None,
-        integrate_space: bool = True,
     ):
         self._model = model
         self._operator = get_operator(operator)
-        self._integrate_space = integrate_space
-        reduced = space_integrated_model(model, self._operator) if integrate_space else model
+        reduced = space_integrated_model(model, self._operator)
         self._reduced = reduced
         self._stats = IntervalStatistics(reduced, self._operator)
 

@@ -4,10 +4,6 @@ Every frontend maps these the same way: :class:`PipelineError` (and its
 subclasses) is the client's mistake — CLI exit code 2, HTTP 400 — while
 :class:`StaleGenerationError` is the specific "your snapshot moved" conflict
 — HTTP 409, retry after re-reading the generation.
-
-The service layer's historical names (``ServiceError``) are aliases of these
-classes, so ``except`` clauses and ``pytest.raises`` written against either
-spelling keep working.
 """
 
 from __future__ import annotations
@@ -44,8 +40,8 @@ class StaleGenerationError(PipelineError):
     """Raised when a query raced an append that bumped the store generation.
 
     Maps to HTTP 409 (Conflict): the client's view of the trace content is
-    out of date — re-read the current generation (``GET /traces`` or the
-    ``generation`` field of the ``POST /append`` response) and retry.
+    out of date — re-read the current generation (``GET /v1/traces`` or the
+    ``generation`` field of the ``POST /v1/append`` response) and retry.
     """
 
 
@@ -71,7 +67,7 @@ def error_envelope(
 ) -> Dict[str, Any]:
     """The one error body shape of the service API.
 
-    Every HTTP error — from any endpoint, versioned or legacy, front-end or
+    Every HTTP error — from any endpoint or unknown path, front-end or
     shard — serializes as::
 
         {"error": {"code": "...", "message": "...", "field": "..."}}

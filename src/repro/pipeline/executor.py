@@ -8,12 +8,12 @@ the **cached path** wrapped around the very same steps: it pins one
 streaming-model lifecycles and answers requests through a generation-keyed
 LRU of serialized payloads (entries computed before an append are purged
 wholesale when the generation moves, so a stale result can never be served).
-The HTTP service's ``AnalysisSession`` is a thin naming adapter over this
-class.
+The HTTP service serves one engine per trace, calling :meth:`execute` /
+:meth:`run_sweep` directly.
 
 Because both paths share the same steps and the same
 :mod:`~repro.pipeline.payloads` serializer, ``repro analyze --json``,
-``POST /analyze`` and per-member ``repro batch`` payloads are byte-identical
+``POST /v1/analyze`` and per-member ``repro batch`` payloads are byte-identical
 by construction.
 """
 
@@ -242,7 +242,7 @@ class AnalysisEngine:
         return None
 
     def summary(self) -> Dict[str, Any]:
-        """JSON-friendly description for ``GET /traces``."""
+        """JSON-friendly description for ``GET /v1/traces``."""
         info = self._source.summary()
         info["name"] = self._name
         info["cache"] = self.cache_info()
@@ -358,7 +358,7 @@ class AnalysisEngine:
         of the **streaming** model (fixed slice width, grown incrementally
         on appends) — the live-monitoring query shape.  ``request.generation``
         optionally pins the content snapshot the client expects; a mismatch
-        (e.g. an ``/append`` landed first) raises
+        (e.g. a ``/v1/append`` landed first) raises
         :class:`StaleGenerationError` → HTTP 409.
         """
         request = request.validated()
@@ -548,7 +548,7 @@ class AnalysisEngine:
         }
         # Whole-trace models discretize the *current* span into `slices`
         # regular slices; after an append that span changed, so these are
-        # rebuilt lazily (keeping /analyze byte-identical to a batch run on
+        # rebuilt lazily (keeping /v1/analyze byte-identical to a batch run on
         # the grown trace).
         self._models.clear()
         self._aggregators.clear()

@@ -1,7 +1,7 @@
 """The single producer of every machine-readable payload.
 
-``repro analyze --json`` / ``POST /analyze``, ``POST /sweep``, ``repro batch
---json`` / ``POST /batch`` and ``repro compare --json`` / ``POST /compare``
+``repro analyze --json`` / ``POST /v1/analyze``, ``POST /v1/sweep``, ``repro batch
+--json`` / ``POST /v1/batch`` and ``repro compare --json`` / ``POST /v1/compare``
 all assemble their JSON here — byte-identity between the CLI and the service
 holds **by construction**, not by diffing.  Canonical form: ``indent=2``,
 ``sort_keys=True``, floats as Python ``repr`` (exact round-trip), no trailing
@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 #: Version prefix of the service's HTTP API (``/v1/...`` routes); quoted in
-#: every payload ``meta`` block and by ``GET /health``.  Bump only on an
+#: every payload ``meta`` block and by ``GET /v1/health``.  Bump only on an
 #: incompatible route/body redesign — additive changes stay within ``v1``.
 API_VERSION = "v1"
 
@@ -261,7 +261,7 @@ def sweep_payload(
     points: "Sequence[QualityPoint]",
     window: "Mapping[str, Any] | None" = None,
 ) -> Dict[str, Any]:
-    """Assemble the multi-``p`` sweep payload (``POST /sweep``)."""
+    """Assemble the multi-``p`` sweep payload (``POST /v1/sweep``)."""
     payload: Dict[str, Any] = {
         "schema": SWEEP_SCHEMA,
         "meta": meta_section(),

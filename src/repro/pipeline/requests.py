@@ -178,7 +178,7 @@ class AnalysisRequest:
 
 @dataclass(frozen=True)
 class SweepRequest:
-    """A multi-``p`` sweep query (``POST /sweep``).
+    """A multi-``p`` sweep query (``POST /v1/sweep``).
 
     ``ps`` is the explicit trade-off grid; ``None`` runs the dichotomic
     significant-parameter search.

@@ -78,7 +78,7 @@ class TraceSource(Protocol):
         ...
 
     def summary(self) -> Dict[str, Any]:
-        """JSON-friendly description (``GET /traces``)."""
+        """JSON-friendly description (``GET /v1/traces``)."""
         ...
 
     def trace_block(self) -> Dict[str, Any]:

@@ -1,9 +1,12 @@
-"""Aggregation query service: cached analysis sessions and the HTTP API.
+"""Aggregation query service: the HTTP API over cached pipeline engines.
 
 Turns the batch library into the interactive system the paper describes:
-:class:`AnalysisSession` pins a trace and its models in memory behind an LRU
-result cache, and :func:`build_server` exposes sessions over a stdlib JSON
-HTTP API (``repro serve``).
+each served trace is one :class:`~repro.pipeline.executor.AnalysisEngine`
+(the trace and its models pinned in memory behind an LRU result cache), a
+:class:`SessionRegistry` names them, and :func:`build_server` exposes them
+over a stdlib JSON HTTP API (``repro serve``).  Every route lives under
+``/v1`` (plus the ``/healthz`` / ``/readyz`` probes); any other path answers
+the 404 ``not_found`` error envelope.
 """
 
 from .cluster import (
@@ -15,36 +18,8 @@ from .cluster import (
 from .http import TraceServiceServer, build_server
 from .registry import DEFAULT_MAX_SESSIONS, SessionRegistry
 from .routes import ROUTES, resolve_route
-from .serializer import (
-    ANALYSIS_SCHEMA,
-    SWEEP_SCHEMA,
-    AnalysisResult,
-    analysis_payload,
-    run_analysis,
-    serialize_payload,
-    trace_summary,
-)
-from .session import (
-    MAX_SLICES,
-    OPERATORS,
-    AnalysisSession,
-    ServiceError,
-    StaleGenerationError,
-)
 
 __all__ = [
-    "ANALYSIS_SCHEMA",
-    "SWEEP_SCHEMA",
-    "AnalysisResult",
-    "run_analysis",
-    "analysis_payload",
-    "serialize_payload",
-    "trace_summary",
-    "AnalysisSession",
-    "ServiceError",
-    "StaleGenerationError",
-    "OPERATORS",
-    "MAX_SLICES",
     "TraceServiceServer",
     "SessionRegistry",
     "DEFAULT_MAX_SESSIONS",

@@ -56,7 +56,8 @@ from ..obs.metrics import CONTENT_TYPE as METRICS_CONTENT_TYPE
 from ..obs.metrics import format_value, merge_expositions
 from ..obs.middleware import DEFAULT_TRACE_SAMPLE, ServerObservability
 from ..obs.tracing import span
-from ..pipeline.errors import RequestError
+from ..pipeline.errors import PipelineError, RequestError
+from ..pipeline.executor import AnalysisEngine
 from ..pipeline.payloads import (
     API_VERSION,
     batch_payload,
@@ -67,12 +68,10 @@ from .http import DrainableThreadingHTTPServer, JSONHandler, build_server, read_
 from .registry import DEFAULT_MAX_SESSIONS, SessionRegistry, paginate_entries
 from .routes import (
     Route,
-    deprecation_headers,
     parse_traces_query,
     parse_watch_query,
     resolve_route,
 )
-from .session import AnalysisSession, ServiceError
 
 __all__ = [
     "ClusterConfig",
@@ -112,7 +111,7 @@ class HashRing:
 
     def __init__(self, n_shards: int, replicas: int = 64):
         if n_shards < 1:
-            raise ServiceError("the cluster needs at least one shard")
+            raise PipelineError("the cluster needs at least one shard")
         points: List[Tuple[int, int]] = []
         for shard in range(n_shards):
             for replica in range(replicas):
@@ -185,7 +184,7 @@ class ShardSpec:
 def _shard_registry(spec: ShardSpec) -> SessionRegistry:
     """Build the worker's registry: owned pinned traces resident, rest lazy."""
     owned = set(spec.owned)
-    pinned: Dict[str, AnalysisSession] = {}
+    pinned: Dict[str, AnalysisEngine] = {}
     lazy: List[CorpusEntry] = []
     for raw in spec.trace_paths:
         entry = entry_for_path(raw)
@@ -193,7 +192,7 @@ def _shard_registry(spec: ShardSpec) -> SessionRegistry:
             # Owned pinned traces stay resident forever (never LRU-evicted),
             # matching single-process `repro serve path...` — in particular
             # appends against in-memory traces cannot be evicted away.
-            pinned[entry.name] = AnalysisSession(entry.load(), name=entry.name)
+            pinned[entry.name] = AnalysisEngine(entry.load(), name=entry.name)
         else:
             lazy.append(entry)
     root = Path(spec.corpus_path) if spec.corpus_path else Path(".")
@@ -297,21 +296,21 @@ class ShardHandle:
             if not parent_conn.poll(self._start_timeout):
                 process.terminate()
                 process.join(2.0)
-                raise ServiceError(
+                raise PipelineError(
                     f"shard {self.index} did not report ready within "
                     f"{self._start_timeout:g}s"
                 )
             kind, value = parent_conn.recv()
         except EOFError:
             process.join(2.0)
-            raise ServiceError(
+            raise PipelineError(
                 f"shard {self.index} died during startup"
             ) from None
         finally:
             parent_conn.close()
         if kind != "ready":
             process.join(2.0)
-            raise ServiceError(f"shard {self.index} failed to start: {value}")
+            raise PipelineError(f"shard {self.index} failed to start: {value}")
         self.process = process
         self.port = int(value)
 
@@ -360,13 +359,13 @@ class TokenBucketLimiter:
         sweep_interval: float = 60.0,
     ):
         if rate <= 0:
-            raise ServiceError("rate limit must be positive")
+            raise PipelineError("rate limit must be positive")
         self.rate = float(rate)
         self.burst = float(burst) if burst is not None else max(2.0 * rate, 1.0)
         if self.burst < 1.0:
-            raise ServiceError("rate-limit burst must allow at least one request")
+            raise PipelineError("rate-limit burst must allow at least one request")
         if sweep_interval <= 0:
-            raise ServiceError("rate-limit sweep interval must be positive")
+            raise PipelineError("rate-limit sweep interval must be positive")
         self.sweep_interval = float(sweep_interval)
         self._buckets: Dict[str, Tuple[float, float]] = {}
         #: Anchored to the first ``acquire`` clock so tests driving a
@@ -546,7 +545,7 @@ class ClusterFrontServer(DrainableThreadingHTTPServer):
                 if not shard.alive():
                     try:
                         shard.respawn()
-                    except ServiceError:
+                    except PipelineError:
                         # Startup failed; leave the shard dead (requests keep
                         # answering 503) and retry on the next poll.
                         continue
@@ -577,15 +576,13 @@ class ClusterFrontHandler(JSONHandler):
 
     def _dispatch(self, method: str) -> None:
         path, _, query = self.path.partition("?")
-        resolved = resolve_route(method, path)
-        if resolved is None:
-            self._extra_headers = ()
+        self._extra_headers = ()
+        route = resolve_route(method, path)
+        if route is None:
             self._send_error(
                 404, f"no such endpoint: {path.rstrip('/') or '/'}", code="not_found"
             )
             return
-        route, is_legacy = resolved
-        self._extra_headers = deprecation_headers(route) if is_legacy else ()
         server = self.server
         if method == "POST" and server.limiter is not None:
             client = self._rate_limit_key()
@@ -619,7 +616,7 @@ class ClusterFrontHandler(JSONHandler):
             getattr(self, f"_handle_{route.name}")(route, query)
         except RequestError as exc:
             self._send_error(400, str(exc), field=exc.field)
-        except ServiceError as exc:
+        except PipelineError as exc:
             self._send_error(400, str(exc))
         except ShardTimeoutError as exc:
             self._send_error(504, str(exc), code="shard_timeout")

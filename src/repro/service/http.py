@@ -1,7 +1,7 @@
 """Stdlib HTTP front-end for the analysis service (``repro serve``).
 
 A :class:`~http.server.ThreadingHTTPServer` exposing the versioned ``v1``
-JSON API over a registry of :class:`~repro.service.session.AnalysisSession`.
+JSON API over a registry of :class:`~repro.pipeline.executor.AnalysisEngine`.
 The route table lives in :mod:`repro.service.routes`; the endpoints are:
 
 * ``GET /v1/health`` — liveness plus aggregate cache statistics (quotes the
@@ -23,16 +23,12 @@ The route table lives in :mod:`repro.service.routes`; the endpoints are:
 * ``POST /v1/compare`` — cross-trace comparison, byte-identical to
   ``repro compare --json``.
 
-The historical unversioned paths (``/analyze``, ``/traces``, ...) remain as
-aliases answering identically plus a ``Deprecation: true`` header and a
-``Link`` to their ``/v1`` successor.
-
 Every error — any endpoint, any status — carries the one envelope of
 :func:`repro.pipeline.errors.error_envelope`::
 
     {"error": {"code": "invalid_request", "message": "...", "field": "p"}}
 
-``/analyze`` and ``/sweep`` accept two optional windowing parameters for live
+``/v1/analyze`` and ``/v1/sweep`` accept two optional windowing parameters for live
 traces — ``"last_k_slices": k`` or ``"window": [t0, t1]`` — evaluated against
 the session's incrementally grown streaming model, plus an optional
 ``"generation": g`` pin; a query whose expected generation lost a race with
@@ -64,7 +60,13 @@ from ..obs.middleware import (
     ServerObservability,
 )
 from ..obs.tracing import new_request_id, start_trace
-from ..pipeline.errors import RequestError, error_envelope
+from ..pipeline.errors import (
+    PipelineError,
+    RequestError,
+    StaleGenerationError,
+    error_envelope,
+)
+from ..pipeline.executor import AnalysisEngine
 from ..pipeline.payloads import (
     API_VERSION,
     batch_payload,
@@ -78,13 +80,11 @@ from ..trace.io import TraceIOError
 from .registry import SessionRegistry
 from .routes import (
     Route,
-    deprecation_headers,
     parse_debug_trace_query,
     parse_traces_query,
     parse_watch_query,
     resolve_route,
 )
-from .session import AnalysisSession, ServiceError, StaleGenerationError
 
 _LOG_INFO = logging.INFO
 
@@ -110,8 +110,8 @@ def _route_name(method: str, path: str) -> str:
     cache past its bound either, since misses share the one entry per path
     up to the LRU capacity).
     """
-    resolved = resolve_route(method, path)
-    return resolved[0].name if resolved is not None else "unknown"
+    route = resolve_route(method, path)
+    return route.name if route is not None else "unknown"
 
 
 def read_raw_body(handler: BaseHTTPRequestHandler) -> bytes:
@@ -128,17 +128,17 @@ def read_raw_body(handler: BaseHTTPRequestHandler) -> bytes:
         # The body length is unknowable, so the connection cannot be
         # reused: unread body bytes would be parsed as the next request.
         handler.close_connection = True
-        raise ServiceError("invalid Content-Length header") from None
+        raise PipelineError("invalid Content-Length header") from None
     if length < 0 or length > MAX_BODY_BYTES:
         handler.close_connection = True  # body left unread — do not reuse
-        raise ServiceError(
+        raise PipelineError(
             f"request body must be between 0 and {MAX_BODY_BYTES} bytes"
         )
     return handler.rfile.read(length) if length else b""
 
 
 def _analysis_request(body: Mapping[str, Any]) -> AnalysisRequest:
-    """The typed pipeline request of an ``/analyze``-shaped JSON body."""
+    """The typed pipeline request of a ``/v1/analyze``-shaped JSON body."""
     return AnalysisRequest.from_query(
         p=body.get("p", 0.7),
         slices=body.get("slices", 30),
@@ -151,7 +151,7 @@ def _analysis_request(body: Mapping[str, Any]) -> AnalysisRequest:
 
 
 def _sweep_request(body: Mapping[str, Any]) -> SweepRequest:
-    """The typed pipeline request of a ``/sweep``-shaped JSON body."""
+    """The typed pipeline request of a ``/v1/sweep``-shaped JSON body."""
     return SweepRequest.from_query(
         ps=body.get("ps"),
         slices=body.get("slices", 30),
@@ -209,7 +209,7 @@ class TraceServiceServer(DrainableThreadingHTTPServer):
     def __init__(
         self,
         address: tuple[str, int],
-        sessions: "Mapping[str, AnalysisSession] | SessionRegistry",
+        sessions: "Mapping[str, AnalysisEngine] | SessionRegistry",
         instrument: bool = True,
         tier: str = "single",
         trace_sample: int = DEFAULT_TRACE_SAMPLE,
@@ -230,7 +230,7 @@ class TraceServiceServer(DrainableThreadingHTTPServer):
             )
         super().__init__(address, ServiceHandler)
 
-    def resolve(self, name: "str | None") -> AnalysisSession:
+    def resolve(self, name: "str | None") -> AnalysisEngine:
         """Session by name; the single session when ``name`` is omitted."""
         return self.registry.resolve(name)
 
@@ -241,7 +241,7 @@ class JSONHandler(BaseHTTPRequestHandler):
     Subclasses dispatch against the shared route table and send canonical
     payloads / error envelopes through :meth:`_send_json` /
     :meth:`_send_error`; ``_extra_headers`` carries per-request response
-    headers (deprecation notices on legacy aliases).
+    headers (``Retry-After`` on backpressure answers).
     """
 
     protocol_version = "HTTP/1.1"
@@ -250,7 +250,7 @@ class JSONHandler(BaseHTTPRequestHandler):
     #: request on loopback).  An analysis-cache hit is sub-millisecond, so
     #: the stall would dominate service latency 40:1.
     disable_nagle_algorithm = True
-    #: Advertised by ``GET /health``; bump alongside the payload schemas.
+    #: Advertised by ``GET /v1/health``; bump alongside the payload schemas.
     server_version = "repro-serve/1"
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
@@ -458,9 +458,9 @@ class ServiceHandler(JSONHandler):
         try:
             body = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ServiceError(f"request body is not valid JSON: {exc}") from exc
+            raise PipelineError(f"request body is not valid JSON: {exc}") from exc
         if not isinstance(body, dict):
-            raise ServiceError("request body must be a JSON object")
+            raise PipelineError("request body must be a JSON object")
         return body
 
     # ------------------------------------------------------------------ #
@@ -468,23 +468,21 @@ class ServiceHandler(JSONHandler):
     # ------------------------------------------------------------------ #
     def _dispatch(self, method: str) -> None:
         path, _, query = self.path.partition("?")
-        resolved = resolve_route(method, path)
-        if resolved is None:
-            self._extra_headers = ()
+        self._extra_headers = ()
+        route = resolve_route(method, path)
+        if route is None:
             self._send_error(
                 404, f"no such endpoint: {path.rstrip('/') or '/'}", code="not_found"
             )
             return
-        route, is_legacy = resolved
-        self._extra_headers = deprecation_headers(route) if is_legacy else ()
         try:
             getattr(self, f"_handle_{route.name}")(route, query)
         except StaleGenerationError as exc:
-            # Subclass of ServiceError: must be mapped before the 400 branch.
+            # Subclass of PipelineError: must be mapped before the 400 branch.
             self._send_error(409, str(exc), code="stale_generation")
         except RequestError as exc:
             self._send_error(400, str(exc), field=exc.field)
-        except ServiceError as exc:
+        except PipelineError as exc:
             self._send_error(400, str(exc))
         except LookupError as exc:
             self._send_error(404, str(exc), code="not_found")
@@ -557,7 +555,7 @@ class ServiceHandler(JSONHandler):
         session = self.server.resolve(params.trace)
         source = session.source
         if not isinstance(source, StoreSource):
-            raise ServiceError(
+            raise PipelineError(
                 f"trace {session.name!r} is not store-backed; watch needs a "
                 ".rtz store that can grow (convert with `repro convert`)"
             )
@@ -575,8 +573,6 @@ class ServiceHandler(JSONHandler):
         self.send_header("Cache-Control", "no-store")
         if self._request_id is not None and not self._suppress_id_echo:
             self.send_header("X-Request-ID", self._request_id)
-        for header, value in self._extra_headers:
-            self.send_header(header, value)
         self.send_header("Connection", "close")
         self.close_connection = True
         self.end_headers()
@@ -631,7 +627,7 @@ class ServiceHandler(JSONHandler):
         session = self.server.resolve(body.get("trace"))
         intervals = body.get("intervals")
         if not isinstance(intervals, list):
-            raise ServiceError(
+            raise PipelineError(
                 'append body must carry "intervals": '
                 "[[start, end, resource, state], ...]"
             )
@@ -654,9 +650,9 @@ class ServiceHandler(JSONHandler):
         elif not isinstance(names, list) or not all(
             isinstance(name, str) for name in names
         ):
-            raise ServiceError('"traces" must be a list of served trace names')
+            raise PipelineError('"traces" must be a list of served trace names')
         if not names:
-            raise ServiceError("batch request selects no traces")
+            raise PipelineError("batch request selects no traces")
         for name in names:
             if name not in registry.names():
                 raise LookupError(
@@ -671,7 +667,7 @@ class ServiceHandler(JSONHandler):
                 result = registry.get(name).execute_dict(request)
             except StaleGenerationError:
                 raise  # a 409, not a per-trace failure
-            except ServiceError:
+            except PipelineError:
                 raise  # invalid parameters fail every trace alike: a 400
             except TraceIOError as exc:
                 # Unreadable/corrupt/tampered member: record and keep going,
@@ -696,7 +692,7 @@ class ServiceHandler(JSONHandler):
         for side in ("a", "b"):
             name = body.get(side)
             if not isinstance(name, str):
-                raise ServiceError(
+                raise PipelineError(
                     'compare body must name two served traces: {"a": ..., "b": ...}'
                 )
             sides[side] = self.server.registry.get(name)
@@ -709,10 +705,10 @@ class ServiceHandler(JSONHandler):
             payloads[side] = result
             models[side] = session.model(result["params"]["slices"])
             # The aggregate and the model are fetched under separate lock
-            # acquisitions; an /append landing between them would mix two
+            # acquisitions; a /v1/append landing between them would mix two
             # content snapshots in one comparison.  Appends bump the
             # generation before any cache is rebuilt, so re-reading it after
-            # the model fetch detects the race — answered 409 like /analyze.
+            # the model fetch detects the race — answered 409 like /v1/analyze.
             if session.generation != result["trace"]["generation"]:
                 raise StaleGenerationError(
                     f"trace {session.name!r} moved to generation "
@@ -729,7 +725,7 @@ class ServiceHandler(JSONHandler):
 
 
 def build_server(
-    sessions: "Mapping[str, AnalysisSession] | SessionRegistry",
+    sessions: "Mapping[str, AnalysisEngine] | SessionRegistry",
     host: str = "127.0.0.1",
     port: int = 8000,
     instrument: bool = True,

@@ -5,8 +5,7 @@ The spec is **derived**, never hand-edited: every path comes from
 request dataclass (``AnalysisRequest``/``SweepRequest``) merged with the
 route's explicit :class:`~repro.service.routes.BodyField` overrides, and every
 error response references the one ``ErrorEnvelope`` component produced by
-:func:`repro.pipeline.errors.error_envelope`.  Legacy unversioned aliases are
-emitted with ``deprecated: true``.
+:func:`repro.pipeline.errors.error_envelope`.
 
 CI regenerates the spec and fails on any diff (``python -m
 repro.service.openapi --check``), so the committed document cannot drift from
@@ -20,7 +19,7 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from ..pipeline.errors import ERROR_CODES
 from ..pipeline.payloads import API_VERSION, package_version
@@ -105,18 +104,12 @@ def _responses(route: Route) -> Dict[str, Any]:
     return responses
 
 
-def _operation(route: Route, legacy: bool) -> Dict[str, Any]:
+def _operation(route: Route) -> Dict[str, Any]:
     operation: Dict[str, Any] = {
-        "operationId": f"{route.name}Legacy" if legacy else route.name,
-        "summary": (
-            f"Deprecated alias of {route.path}. {route.summary}"
-            if legacy
-            else route.summary
-        ),
+        "operationId": route.name,
+        "summary": route.summary,
         "responses": _responses(route),
     }
-    if legacy:
-        operation["deprecated"] = True
     if route.query_params:
         operation["parameters"] = [
             {
@@ -141,13 +134,7 @@ def build_spec() -> Dict[str, Any]:
     """The OpenAPI document of the live route table."""
     paths: Dict[str, Dict[str, Any]] = {}
     for route in ROUTES:
-        paths.setdefault(route.path, {})[route.method.lower()] = _operation(
-            route, legacy=False
-        )
-        if route.legacy is not None:
-            paths.setdefault(route.legacy, {})[route.method.lower()] = _operation(
-                route, legacy=True
-            )
+        paths.setdefault(route.path, {})[route.method.lower()] = _operation(route)
     return {
         "openapi": "3.0.3",
         "info": {
@@ -156,9 +143,7 @@ def build_spec() -> Dict[str, Any]:
             "description": (
                 f"Versioned ({API_VERSION}) JSON API over cached spatiotemporal "
                 "trace-aggregation sessions; `repro serve --shards N` serves the "
-                "same API from a consistent-hash shard cluster. Unversioned "
-                "paths are deprecated aliases answering with a "
-                "`Deprecation: true` header."
+                "same API from a consistent-hash shard cluster."
             ),
         },
         "paths": paths,

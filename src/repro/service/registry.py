@@ -22,9 +22,8 @@ from collections import OrderedDict
 from typing import Any, Iterable, Mapping
 
 from ..batch.corpus import Corpus
-from ..store.store import TraceStore
-from ..trace.trace import Trace
-from .session import AnalysisSession, ServiceError
+from ..pipeline.errors import PipelineError
+from ..pipeline.executor import AnalysisEngine
 
 __all__ = ["SessionRegistry", "DEFAULT_MAX_SESSIONS", "paginate_entries"]
 
@@ -80,16 +79,16 @@ class SessionRegistry:
 
     def __init__(
         self,
-        sessions: "Mapping[str, AnalysisSession] | None" = None,
+        sessions: "Mapping[str, AnalysisEngine] | None" = None,
         corpus: "Corpus | None" = None,
         max_sessions: int = DEFAULT_MAX_SESSIONS,
     ):
         if max_sessions < 1:
-            raise ServiceError("max_sessions must be at least 1")
-        self._pinned: dict[str, AnalysisSession] = dict(sessions or {})
+            raise PipelineError("max_sessions must be at least 1")
+        self._pinned: dict[str, AnalysisEngine] = dict(sessions or {})
         self._corpus = corpus
         self._max_sessions = int(max_sessions)
-        self._lru: "OrderedDict[str, AnalysisSession]" = OrderedDict()
+        self._lru: "OrderedDict[str, AnalysisEngine]" = OrderedDict()
         self._opened = 0
         self._evicted = 0
         self._hits = 0
@@ -98,11 +97,11 @@ class SessionRegistry:
         if corpus is not None:
             overlap = sorted(set(self._pinned) & set(corpus.names))
             if overlap:
-                raise ServiceError(
+                raise PipelineError(
                     f"trace names served both pinned and from the corpus: {overlap}"
                 )
         if not self._pinned and corpus is None:
-            raise ServiceError("the service needs at least one trace")
+            raise PipelineError("the service needs at least one trace")
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -119,7 +118,7 @@ class SessionRegistry:
             names.update(self._corpus.names)
         return sorted(names)
 
-    def loaded(self) -> "list[AnalysisSession]":
+    def loaded(self) -> "list[AnalysisEngine]":
         """Currently resident sessions (pinned first, then LRU order)."""
         with self._lock:
             return [
@@ -128,7 +127,7 @@ class SessionRegistry:
             ]
 
     def stats(self) -> dict[str, int]:
-        """Registry counters for ``GET /health``."""
+        """Registry counters for ``GET /v1/health``."""
         with self._lock:
             return {
                 "n_traces": len(self.names()),
@@ -143,7 +142,7 @@ class SessionRegistry:
     # ------------------------------------------------------------------ #
     # Resolution
     # ------------------------------------------------------------------ #
-    def get(self, name: str) -> AnalysisSession:
+    def get(self, name: str) -> AnalysisEngine:
         """The session for ``name``, opening it from the corpus if needed.
 
         Raises :class:`LookupError` for unknown names and
@@ -167,7 +166,7 @@ class SessionRegistry:
         # Load outside the lock: opening and digest-verifying a member can be
         # slow and must not serialize queries against resident sessions.
         source = self._corpus.entry(name).load()
-        session = self._new_session(source, name)
+        session = AnalysisEngine(source, name=name)
         with self._lock:
             existing = self._lru.get(name)
             if existing is not None:  # another thread won the race
@@ -180,11 +179,7 @@ class SessionRegistry:
                 self._evicted += 1
             return session
 
-    @staticmethod
-    def _new_session(source: "TraceStore | Trace", name: str) -> AnalysisSession:
-        return AnalysisSession(source, name=name)
-
-    def resolve(self, name: "str | None") -> AnalysisSession:
+    def resolve(self, name: "str | None") -> AnalysisEngine:
         """Session by name; the single served trace when ``name`` is omitted."""
         if name is None:
             names = self.names()
@@ -195,12 +190,12 @@ class SessionRegistry:
             )
         return self.get(name)
 
-    def resolve_many(self, names: "Iterable[str] | None") -> "list[AnalysisSession]":
+    def resolve_many(self, names: "Iterable[str] | None") -> "list[AnalysisEngine]":
         """Sessions for ``names`` (every served trace when ``None``).
 
         Materializes every session at once — with a large corpus, prefer
         iterating names and calling :meth:`get` one at a time so the LRU
-        bound keeps residency flat (``POST /batch`` does exactly that).
+        bound keeps residency flat (``POST /v1/batch`` does exactly that).
         """
         wanted = self.names() if names is None else list(names)
         return [self.get(str(name)) for name in wanted]

@@ -1,9 +1,8 @@
 """The service API's route table: one declarative source of truth.
 
 Every endpoint of the ``v1`` HTTP API is one :class:`Route` row below —
-canonical ``/v1/...`` path, optional legacy unversioned alias, request body
-model, query parameters and the error statuses it may answer with.  Three
-consumers read the table instead of hard-coding paths:
+its path, request body model, query parameters and the error statuses it may
+answer with.  Three consumers read the table instead of hard-coding paths:
 
 * the single-process handler (:mod:`repro.service.http`);
 * the sharded front-end router (:mod:`repro.service.cluster`), which resolves
@@ -11,10 +10,7 @@ consumers read the table instead of hard-coding paths:
 * the OpenAPI generator (:mod:`repro.service.openapi`), so ``docs/openapi.json``
   cannot drift from the live route table (CI regenerates and diffs it).
 
-Legacy aliases answer identically to their canonical route but add a
-``Deprecation: true`` header plus a ``Link: </v1/...>; rel="successor-version"``
-pointer, so existing clients keep working while new ones are steered to
-``/v1``.
+A path outside the table answers the 404 ``not_found`` error envelope.
 """
 
 from __future__ import annotations
@@ -33,7 +29,6 @@ __all__ = [
     "ROUTES",
     "resolve_route",
     "route_by_name",
-    "deprecation_headers",
     "parse_debug_trace_query",
     "parse_traces_query",
     "parse_watch_query",
@@ -71,10 +66,9 @@ class Route:
     """One endpoint of the service API."""
 
     method: str
-    path: str  # canonical /v1 path
+    path: str  # /v1 path (or /healthz, /readyz)
     name: str  # handler key ("analyze", "health", ...)
     summary: str
-    legacy: Optional[str] = None  # unversioned alias (deprecated)
     request_model: Optional[type] = None  # dataclass the body validates into
     body_fields: Tuple[BodyField, ...] = ()  # extra/override body properties
     query_params: Tuple[QueryParam, ...] = ()
@@ -100,7 +94,6 @@ ROUTES: Tuple[Route, ...] = (
     Route(
         "GET", "/v1/health", "health",
         "Liveness plus aggregate registry and cache statistics.",
-        legacy="/health",
     ),
     Route(
         "GET", "/healthz", "healthz",
@@ -130,7 +123,6 @@ ROUTES: Tuple[Route, ...] = (
     Route(
         "GET", "/v1/traces", "traces",
         "Paginated listing of every served trace.",
-        legacy="/traces",
         query_params=(
             QueryParam("limit", "integer",
                        f"Page size (default {DEFAULT_TRACES_LIMIT}, 0 = everything)."),
@@ -166,7 +158,6 @@ ROUTES: Tuple[Route, ...] = (
     Route(
         "POST", "/v1/analyze", "analyze",
         "One aggregation query; byte-identical to `repro analyze --json`.",
-        legacy="/analyze",
         request_model=AnalysisRequest,
         body_fields=(_TRACE_FIELD, *_WINDOW_FIELDS),
         error_statuses=(400, 404, 409, 429, 500, 503, 504),
@@ -175,7 +166,6 @@ ROUTES: Tuple[Route, ...] = (
     Route(
         "POST", "/v1/sweep", "sweep",
         "Multi-p sweep; omit `ps` for the significant-parameter search.",
-        legacy="/sweep",
         request_model=SweepRequest,
         body_fields=(
             _TRACE_FIELD,
@@ -187,7 +177,6 @@ ROUTES: Tuple[Route, ...] = (
     Route(
         "POST", "/v1/append", "append",
         "Streaming ingestion: append intervals to a store-backed trace.",
-        legacy="/append",
         body_fields=(
             _TRACE_FIELD,
             BodyField("intervals", "array",
@@ -199,7 +188,6 @@ ROUTES: Tuple[Route, ...] = (
     Route(
         "POST", "/v1/batch", "batch",
         "One analysis per named (or every) served trace, with ranking.",
-        legacy="/batch",
         request_model=AnalysisRequest,
         body_fields=(
             BodyField("traces", "array",
@@ -212,7 +200,6 @@ ROUTES: Tuple[Route, ...] = (
     Route(
         "POST", "/v1/compare", "compare",
         "Cross-trace comparison; byte-identical to `repro compare --json`.",
-        legacy="/compare",
         request_model=AnalysisRequest,
         body_fields=(
             BodyField("a", "string", "First served trace name.", required=True),
@@ -222,21 +209,18 @@ ROUTES: Tuple[Route, ...] = (
     ),
 )
 
-_BY_KEY: Dict[Tuple[str, str], Tuple[Route, bool]] = {}
-for _route in ROUTES:
-    _BY_KEY[(_route.method, _route.path)] = (_route, False)
-    if _route.legacy is not None:
-        _BY_KEY[(_route.method, _route.legacy)] = (_route, True)
+_BY_KEY: Dict[Tuple[str, str], Route] = {
+    (route.method, route.path): route for route in ROUTES
+}
 
 _BY_NAME: Dict[str, Route] = {route.name: route for route in ROUTES}
 
 
-def resolve_route(method: str, path: str) -> "Optional[Tuple[Route, bool]]":
+def resolve_route(method: str, path: str) -> Optional[Route]:
     """The route serving ``method path``, or ``None``.
 
     ``path`` must already be stripped of its query string; a single trailing
-    slash is tolerated.  The second element says whether the **legacy** alias
-    was used (the handler then adds the deprecation headers).
+    slash is tolerated.
     """
     normalized = path.rstrip("/") or "/"
     return _BY_KEY.get((method, normalized))
@@ -245,14 +229,6 @@ def resolve_route(method: str, path: str) -> "Optional[Tuple[Route, bool]]":
 def route_by_name(name: str) -> Route:
     """The route registered under handler key ``name``."""
     return _BY_NAME[name]
-
-
-def deprecation_headers(route: Route) -> "Tuple[Tuple[str, str], ...]":
-    """Response headers announcing a legacy alias's deprecation."""
-    return (
-        ("Deprecation", "true"),
-        ("Link", f'<{route.path}>; rel="successor-version"'),
-    )
 
 
 def parse_debug_trace_query(query: str) -> "Optional[int]":

@@ -192,7 +192,7 @@ class TraceStore:
         return dict(self._manifest.get("metadata", {}))
 
     def summary(self) -> dict[str, Any]:
-        """JSON-friendly description used by ``GET /traces``."""
+        """JSON-friendly description used by ``GET /v1/traces``."""
         return {
             "digest": self.digest,
             "generation": self.generation,

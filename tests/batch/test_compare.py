@@ -16,7 +16,7 @@ from repro.batch import (
     run_batch,
     discover_corpus,
 )
-from repro.service.serializer import serialize_payload
+from repro.pipeline.payloads import serialize_payload
 from repro.trace.io import write_csv
 from repro.trace.synthetic import block_trace, phased_trace, random_trace
 

@@ -34,7 +34,7 @@ from repro.batch import (
     load_corpus,
     run_batch,
 )
-from repro.service.serializer import serialize_payload
+from repro.pipeline.payloads import serialize_payload
 from repro.trace.io import write_csv
 
 CORPUS_DIR = Path(__file__).resolve().parents[1] / "data" / "corpus"

@@ -15,7 +15,7 @@ from repro.batch import (
     write_corpus_manifest,
 )
 from repro.batch import runner as runner_module
-from repro.service.serializer import serialize_payload
+from repro.pipeline.payloads import serialize_payload
 from repro.store import save_store
 from repro.trace.io import write_csv
 from repro.trace.synthetic import block_trace, random_trace

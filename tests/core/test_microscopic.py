@@ -158,16 +158,6 @@ class TestAccessors:
         assert model.slicing.span == pytest.approx(6.0)
         assert np.allclose(model.proportions, 0.25)
 
-    def test_npz_roundtrip(self, tmp_path, figure3_model):
-        path = tmp_path / "model.npz"
-        figure3_model.save_npz(str(path))
-        loaded = MicroscopicModel.load_npz(str(path))
-        assert loaded.n_resources == figure3_model.n_resources
-        assert loaded.n_slices == figure3_model.n_slices
-        assert loaded.states.names == figure3_model.states.names
-        assert np.allclose(loaded.durations, figure3_model.durations)
-        assert loaded.hierarchy.leaf_names == figure3_model.hierarchy.leaf_names
-
 
 class TestExtend:
     """Unit tests for the streaming extend/window paths; the bit-identity

@@ -113,7 +113,7 @@ def regenerate(scrape: bool = False) -> None:
     """Rewrite the golden payloads (and optionally re-scrape the chrome dump)."""
     from repro.batch import analyze_entry
     from repro.batch.corpus import entry_for_path
-    from repro.service.serializer import serialize_payload
+    from repro.pipeline.payloads import serialize_payload
 
     if scrape:
         scrape_chrome_fixture()

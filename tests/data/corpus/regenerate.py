@@ -66,7 +66,7 @@ def regenerate() -> None:
         run_batch,
         write_corpus_manifest,
     )
-    from repro.service.serializer import serialize_payload
+    from repro.pipeline.payloads import serialize_payload
     from repro.trace.io import write_csv
 
     for name in GOLDEN_CASES:

@@ -61,13 +61,13 @@ class TestSurfaces:
 
     def test_sweep_batch_and_compare_payloads_carry_meta(self, tmp_path, capsys):
         from repro.batch import load_corpus, run_batch
-        from repro.service import AnalysisSession
+        from repro.pipeline import AnalysisEngine, SweepRequest
         from repro.trace.io import write_csv
         from repro.trace.synthetic import block_trace
 
         trace = block_trace(n_resources=4, n_slices=8, n_blocks_time=2, seed=2)
-        session = AnalysisSession(trace, name="t")
-        assert session.sweep(ps=[0.5], slices=8)["meta"] == {
+        session = AnalysisEngine(trace, name="t")
+        assert session.run_sweep(SweepRequest.from_query(ps=[0.5], slices=8))["meta"] == {
             "api": "v1", "version": package_version()
         }
         corpus_dir = tmp_path / "runs"
@@ -84,16 +84,17 @@ class TestSurfaces:
         import threading
         import urllib.request
 
-        from repro.service import AnalysisSession, build_server
+        from repro.pipeline import AnalysisEngine
+        from repro.service import build_server
         from repro.trace.synthetic import block_trace
 
         trace = block_trace(n_resources=4, n_slices=8, n_blocks_time=2, seed=3)
-        server = build_server({"t": AnalysisSession(trace, name="t")}, port=0)
+        server = build_server({"t": AnalysisEngine(trace, name="t")}, port=0)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:
             with urllib.request.urlopen(
-                f"http://127.0.0.1:{server.server_address[1]}/health"
+                f"http://127.0.0.1:{server.server_address[1]}/v1/health"
             ) as rsp:
                 health = json.loads(rsp.read().decode())
         finally:

@@ -1,6 +1,7 @@
-"""Versioned-API satellites: /v1 routes, deprecation headers, the error
-envelope, traces pagination and the k8s-style probes — on the single-process
-server (the cluster front is covered by test_cluster.py / test_front_limits.py).
+"""Versioned-API satellites: /v1 routes, the retired unversioned paths, the
+error envelope, traces pagination and the k8s-style probes — on the
+single-process server (the cluster front is covered by test_cluster.py /
+test_front_limits.py, and here only for the retired paths).
 """
 
 from __future__ import annotations
@@ -12,20 +13,35 @@ import urllib.request
 
 import pytest
 
+from repro.batch import discover_corpus, write_corpus_manifest
 from repro.pipeline.errors import ERROR_CODES, error_envelope
-from repro.service import AnalysisSession, build_server
+from repro.pipeline import AnalysisEngine
+from repro.service import build_server
+from repro.service.cluster import ClusterConfig, start_cluster
 from repro.service.routes import ROUTES, parse_traces_query, resolve_route
+from repro.store import save_store
 from repro.trace.synthetic import block_trace, phased_trace
+
+#: The unversioned paths that used to alias /v1 routes; they now answer 404.
+RETIRED_PATHS = (
+    ("GET", "/health"),
+    ("GET", "/traces"),
+    ("POST", "/analyze"),
+    ("POST", "/sweep"),
+    ("POST", "/append"),
+    ("POST", "/batch"),
+    ("POST", "/compare"),
+)
 
 
 @pytest.fixture(scope="module")
 def server():
     sessions = {
-        "blocks": AnalysisSession(
+        "blocks": AnalysisEngine(
             block_trace(n_resources=8, n_slices=12, n_blocks_time=3, seed=11),
             name="blocks",
         ),
-        "phased": AnalysisSession(phased_trace(n_resources=8), name="phased"),
+        "phased": AnalysisEngine(phased_trace(n_resources=8), name="phased"),
     }
     server = build_server(sessions, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -33,6 +49,25 @@ def server():
     yield server
     server.shutdown()
     server.server_close()
+
+
+@pytest.fixture(scope="module")
+def front(tmp_path_factory):
+    """A 1-shard cluster front: the retired paths must 404 there too."""
+    root = tmp_path_factory.mktemp("api-v1-corpus")
+    save_store(
+        block_trace(n_resources=4, n_slices=6, n_blocks_time=2, seed=3),
+        root / "t.rtz",
+    )
+    write_corpus_manifest(discover_corpus(root))
+    handle = start_cluster(
+        [], corpus=root, shards=1, port=0,
+        config=ClusterConfig(respawn=False, request_timeout=30.0),
+    )
+    thread = threading.Thread(target=handle.serve_forever, daemon=True)
+    thread.start()
+    yield handle.server
+    handle.close()
 
 
 def _request(server, method, path, body=None):
@@ -52,16 +87,10 @@ def _request(server, method, path, body=None):
 class TestRouteTable:
     def test_every_route_resolves_canonically(self):
         for route in ROUTES:
-            assert resolve_route(route.method, route.path) == (route, False)
-
-    def test_every_legacy_alias_resolves_as_legacy(self):
-        for route in ROUTES:
-            if route.legacy is not None:
-                assert resolve_route(route.method, route.legacy) == (route, True)
+            assert resolve_route(route.method, route.path) is route
 
     def test_trailing_slash_tolerated(self):
-        route, legacy = resolve_route("POST", "/v1/analyze/")
-        assert route.name == "analyze" and legacy is False
+        assert resolve_route("POST", "/v1/analyze/").name == "analyze"
 
     def test_unknown_route_is_none(self):
         assert resolve_route("GET", "/v2/analyze") is None
@@ -74,14 +103,7 @@ class TestVersionedRoutes:
             server, "POST", "/v1/analyze", {"trace": "blocks", "slices": 12}
         )
         assert status == 200
-        assert "Deprecation" not in headers
         assert json.loads(body)["meta"]["api"] == "v1"
-
-    def test_v1_and_legacy_answer_identical_bytes(self, server):
-        request_body = {"trace": "blocks", "p": 0.5, "slices": 12}
-        _, v1_bytes, _ = _request(server, "POST", "/v1/analyze", request_body)
-        _, legacy_bytes, _ = _request(server, "POST", "/analyze", request_body)
-        assert v1_bytes == legacy_bytes
 
     def test_health_quotes_api_version(self, server):
         status, body, _ = _request(server, "GET", "/v1/health")
@@ -91,18 +113,19 @@ class TestVersionedRoutes:
         assert payload["version"]
 
 
-class TestDeprecationHeaders:
+class TestRetiredPaths:
     @pytest.mark.parametrize(
-        "route", [r for r in ROUTES if r.legacy is not None], ids=lambda r: r.legacy
+        "method,path", RETIRED_PATHS, ids=[path for _, path in RETIRED_PATHS]
     )
-    def test_every_legacy_alias_carries_the_headers(self, server, route):
-        body = {} if route.method == "POST" else None
-        status, _, headers = _request(server, route.method, route.legacy, body)
-        assert headers.get("Deprecation") == "true"
-        assert headers.get("Link") == f'<{route.path}>; rel="successor-version"'
-        # And the canonical path does not.
-        status, _, headers = _request(server, route.method, route.path, body)
-        assert "Deprecation" not in headers
+    def test_unversioned_path_answers_not_found(self, server, front, method, path):
+        assert resolve_route(method, path) is None
+        body = {} if method == "POST" else None
+        for target in (server, front):
+            status, raw, _ = _request(target, method, path, body)
+            assert status == 404
+            assert json.loads(raw) == error_envelope(
+                f"no such endpoint: {path}", code="not_found"
+            )
 
 
 class TestErrorEnvelope:

@@ -104,9 +104,9 @@ class TestHashRing:
         assert moved < len(keys) // 2
 
     def test_rejects_zero_shards(self):
-        from repro.service import ServiceError
+        from repro.pipeline import PipelineError
 
-        with pytest.raises(ServiceError, match="at least one shard"):
+        with pytest.raises(PipelineError, match="at least one shard"):
             HashRing(0)
 
 

@@ -17,7 +17,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from repro.service import ServiceError
+from repro.pipeline import PipelineError
 from repro.service.cluster import (
     ClusterConfig,
     ClusterFrontServer,
@@ -127,11 +127,11 @@ class TestTokenBucketLimiter:
         assert limiter.acquire("b", now=0.0) == 0.0
 
     def test_invalid_configuration_rejected(self):
-        with pytest.raises(ServiceError, match="positive"):
+        with pytest.raises(PipelineError, match="positive"):
             TokenBucketLimiter(rate=0.0)
-        with pytest.raises(ServiceError, match="at least one request"):
+        with pytest.raises(PipelineError, match="at least one request"):
             TokenBucketLimiter(rate=1.0, burst=0.5)
-        with pytest.raises(ServiceError, match="sweep interval"):
+        with pytest.raises(PipelineError, match="sweep interval"):
             TokenBucketLimiter(rate=1.0, sweep_interval=0.0)
 
     def test_idle_buckets_are_pruned_so_the_map_stays_bounded(self):

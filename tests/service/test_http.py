@@ -10,7 +10,8 @@ import urllib.request
 import pytest
 
 from repro.cli import main
-from repro.service import AnalysisSession, ServiceError, build_server
+from repro.pipeline import AnalysisEngine, PipelineError
+from repro.service import build_server
 from repro.store import open_store
 from repro.trace.synthetic import block_trace, phased_trace
 
@@ -18,10 +19,10 @@ from repro.trace.synthetic import block_trace, phased_trace
 @pytest.fixture(scope="module")
 def server():
     sessions = {
-        "blocks": AnalysisSession(
+        "blocks": AnalysisEngine(
             block_trace(n_resources=8, n_slices=12, n_blocks_time=3, seed=11), name="blocks"
         ),
-        "phased": AnalysisSession(phased_trace(n_resources=8), name="phased"),
+        "phased": AnalysisEngine(phased_trace(n_resources=8), name="phased"),
     }
     server = build_server(sessions, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -52,59 +53,59 @@ def _post(server, path, body):
 
 class TestEndpoints:
     def test_health(self, server):
-        status, payload = _get(server, "/health")
+        status, payload = _get(server, "/v1/health")
         assert status == 200
         assert payload["status"] == "ok"
         assert payload["n_traces"] == 2
         assert set(payload["cache"]) == {"hits", "misses", "entries"}
 
     def test_traces_listing(self, server):
-        status, payload = _get(server, "/traces")
+        status, payload = _get(server, "/v1/traces")
         assert status == 200
         names = [entry["name"] for entry in payload["traces"]]
         assert names == ["blocks", "phased"]
         assert all(len(entry["digest"]) == 64 for entry in payload["traces"])
 
     def test_analyze_requires_trace_name_with_many_traces(self, server):
-        status, body = _post(server, "/analyze", {"p": 0.5})
+        status, body = _post(server, "/v1/analyze", {"p": 0.5})
         assert status == 404
         assert "must name one" in json.loads(body)["error"]["message"]
 
     def test_analyze_named_trace(self, server):
-        status, body = _post(server, "/analyze", {"trace": "blocks", "p": 0.5, "slices": 12})
+        status, body = _post(server, "/v1/analyze", {"trace": "blocks", "p": 0.5, "slices": 12})
         assert status == 200
         payload = json.loads(body)
         assert payload["params"]["p"] == 0.5
         assert payload["trace"]["n_resources"] == 8
 
     def test_analyze_is_cached_and_stable(self, server):
-        body1 = _post(server, "/analyze", {"trace": "blocks", "p": 0.25, "slices": 12})[1]
-        before = _get(server, "/health")[1]["cache"]["hits"]
-        body2 = _post(server, "/analyze", {"trace": "blocks", "p": 0.25, "slices": 12})[1]
-        after = _get(server, "/health")[1]["cache"]["hits"]
+        body1 = _post(server, "/v1/analyze", {"trace": "blocks", "p": 0.25, "slices": 12})[1]
+        before = _get(server, "/v1/health")[1]["cache"]["hits"]
+        body2 = _post(server, "/v1/analyze", {"trace": "blocks", "p": 0.25, "slices": 12})[1]
+        after = _get(server, "/v1/health")[1]["cache"]["hits"]
         assert body1 == body2
         assert after == before + 1
 
     def test_sweep(self, server):
         status, body = _post(
-            server, "/sweep", {"trace": "blocks", "ps": [0.0, 1.0], "slices": 12}
+            server, "/v1/sweep", {"trace": "blocks", "ps": [0.0, 1.0], "slices": 12}
         )
         assert status == 200
         payload = json.loads(body)
         assert [point["p"] for point in payload["points"]] == [0.0, 1.0]
 
     def test_unknown_trace_404(self, server):
-        status, body = _post(server, "/analyze", {"trace": "nope"})
+        status, body = _post(server, "/v1/analyze", {"trace": "nope"})
         assert status == 404
 
     def test_bad_parameter_400(self, server):
-        status, body = _post(server, "/analyze", {"trace": "blocks", "p": 7})
+        status, body = _post(server, "/v1/analyze", {"trace": "blocks", "p": 7})
         assert status == 400
         assert "p must be in" in json.loads(body)["error"]["message"]
 
     def test_bad_anomaly_threshold_400(self, server):
         status, body = _post(
-            server, "/analyze",
+            server, "/v1/analyze",
             {"trace": "blocks", "slices": 12, "anomaly_threshold": "abc"},
         )
         assert status == 400
@@ -117,7 +118,7 @@ class TestEndpoints:
             "127.0.0.1", server.server_address[1], timeout=5
         )
         try:
-            conn.putrequest("POST", "/analyze")
+            conn.putrequest("POST", "/v1/analyze")
             conn.putheader("Content-Length", "abc")
             conn.endheaders()
             response = conn.getresponse()
@@ -135,7 +136,7 @@ class TestEndpoints:
             "127.0.0.1", server.server_address[1], timeout=5
         )
         try:
-            conn.putrequest("POST", "/analyze")
+            conn.putrequest("POST", "/v1/analyze")
             conn.putheader("Content-Length", str(MAX_BODY_BYTES + 1))
             conn.endheaders()
             response = conn.getresponse()
@@ -148,7 +149,7 @@ class TestEndpoints:
 
     def test_bad_json_400(self, server):
         request = urllib.request.Request(
-            f"http://127.0.0.1:{server.server_address[1]}/analyze",
+            f"http://127.0.0.1:{server.server_address[1]}/v1/analyze",
             data=b"{invalid",
             method="POST",
         )
@@ -166,7 +167,7 @@ class TestEndpoints:
         assert excinfo.value.code == 404
 
     def test_empty_registry_rejected(self):
-        with pytest.raises(ServiceError):
+        with pytest.raises(PipelineError):
             build_server({}, port=0)
 
 
@@ -190,13 +191,13 @@ class TestByteIdentity:
         ]) == 0
         cli_output = capsys.readouterr().out
 
-        session = AnalysisSession(open_store(store_path), name="case_a")
+        session = AnalysisEngine(open_store(store_path), name="case_a")
         server = build_server({"case_a": session}, port=0)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:
             status, body = _post(
-                server, "/analyze", {"p": 0.6, "slices": 20, "operator": operator}
+                server, "/v1/analyze", {"p": 0.6, "slices": 20, "operator": operator}
             )
         finally:
             server.shutdown()

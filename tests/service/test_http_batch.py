@@ -12,7 +12,7 @@ import pytest
 from repro.batch import discover_corpus, load_corpus, run_batch, write_corpus_manifest
 from repro.cli import main
 from repro.service import SessionRegistry, build_server
-from repro.service.serializer import serialize_payload
+from repro.pipeline.payloads import serialize_payload
 from repro.store import save_store
 from repro.trace.io import write_csv
 from repro.trace.synthetic import phased_trace, random_trace
@@ -68,7 +68,7 @@ def _post(server, path, body):
 
 class TestBatchEndpoint:
     def test_batch_all_traces(self, server):
-        status, body = _post(server, "/batch", {"slices": 10})
+        status, body = _post(server, "/v1/batch", {"slices": 10})
         assert status == 200
         payload = json.loads(body)
         assert payload["schema"] == "repro.batch/1"
@@ -76,40 +76,40 @@ class TestBatchEndpoint:
         assert [row["rank"] for row in payload["summary"]] == [1, 2, 3]
 
     def test_batch_subset(self, server):
-        status, body = _post(server, "/batch", {"traces": ["calm"], "slices": 10})
+        status, body = _post(server, "/v1/batch", {"traces": ["calm"], "slices": 10})
         assert status == 200
         payload = json.loads(body)
         assert list(payload["results"]) == ["calm"]
         assert payload["corpus"]["n_traces"] == 1
 
     def test_batch_matches_cli_byte_identically(self, server, corpus_dir):
-        status, body = _post(server, "/batch", {"slices": 10})
+        status, body = _post(server, "/v1/batch", {"slices": 10})
         assert status == 200
         cli = run_batch(load_corpus(corpus_dir), slices=10, jobs=1)
         assert body == serialize_payload(cli.payload()) + "\n"
 
     def test_batch_ranks_perturbed_trace_higher(self, server):
-        _, body = _post(server, "/batch", {"traces": ["calm", "noisy"], "slices": 10})
+        _, body = _post(server, "/v1/batch", {"traces": ["calm", "noisy"], "slices": 10})
         summary = json.loads(body)["summary"]
         assert summary[0]["name"] == "noisy"
 
     def test_batch_unknown_trace_is_404(self, server):
-        status, body = _post(server, "/batch", {"traces": ["ghost"]})
+        status, body = _post(server, "/v1/batch", {"traces": ["ghost"]})
         assert status == 404
         assert "unknown trace" in json.loads(body)["error"]["message"]
 
     def test_batch_traces_must_be_a_list_of_names(self, server):
-        status, body = _post(server, "/batch", {"traces": "calm"})
+        status, body = _post(server, "/v1/batch", {"traces": "calm"})
         assert status == 400
         assert "list of served trace names" in json.loads(body)["error"]["message"]
 
     def test_batch_bad_parameter_is_400(self, server):
-        status, body = _post(server, "/batch", {"p": 3.0})
+        status, body = _post(server, "/v1/batch", {"p": 3.0})
         assert status == 400
         assert "p must be" in json.loads(body)["error"]["message"]
 
     def test_batch_empty_selection_is_400(self, server):
-        status, body = _post(server, "/batch", {"traces": []})
+        status, body = _post(server, "/v1/batch", {"traces": []})
         assert status == 400
         assert "selects no traces" in json.loads(body)["error"]["message"]
 
@@ -134,7 +134,7 @@ class TestBatchEndpoint:
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:
-            status, body = _post(server, "/batch", {"slices": 6})
+            status, body = _post(server, "/v1/batch", {"slices": 6})
         finally:
             server.shutdown()
             server.server_close()
@@ -149,14 +149,14 @@ class TestBatchEndpoint:
 
     def test_batch_memory_stays_bounded_by_the_lru(self, server):
         """Analyzing the whole corpus must not pin every session at once."""
-        status, _ = _post(server, "/batch", {"slices": 10})
+        status, _ = _post(server, "/v1/batch", {"slices": 10})
         assert status == 200
         assert server.registry.stats()["n_resident"] <= server.registry.max_sessions
 
 
 class TestCompareEndpoint:
     def test_compare_two_served_traces(self, server):
-        status, body = _post(server, "/compare", {"a": "calm", "b": "noisy", "slices": 10})
+        status, body = _post(server, "/v1/compare", {"a": "calm", "b": "noisy", "slices": 10})
         assert status == 200
         payload = json.loads(body)
         assert payload["schema"] == "repro.compare/1"
@@ -165,7 +165,7 @@ class TestCompareEndpoint:
         assert payload["deviation_delta"] is not None
 
     def test_compare_is_byte_identical_to_cli(self, server, corpus_dir, capsys):
-        status, body = _post(server, "/compare", {"a": "calm", "b": "noisy", "slices": 10})
+        status, body = _post(server, "/v1/compare", {"a": "calm", "b": "noisy", "slices": 10})
         assert status == 200
         assert main([
             "compare", str(corpus_dir / "calm.rtz"), str(corpus_dir / "noisy.rtz"),
@@ -174,17 +174,17 @@ class TestCompareEndpoint:
         assert body == capsys.readouterr().out
 
     def test_compare_requires_both_names(self, server):
-        status, body = _post(server, "/compare", {"a": "calm"})
+        status, body = _post(server, "/v1/compare", {"a": "calm"})
         assert status == 400
         assert "must name two" in json.loads(body)["error"]["message"]
 
     def test_compare_unknown_name_is_404(self, server):
-        status, body = _post(server, "/compare", {"a": "calm", "b": "ghost"})
+        status, body = _post(server, "/v1/compare", {"a": "calm", "b": "ghost"})
         assert status == 404
         assert "unknown trace" in json.loads(body)["error"]["message"]
 
     def test_compare_detects_the_perturbation_shift(self, server):
-        _, body = _post(server, "/compare", {"a": "calm", "b": "noisy", "slices": 10})
+        _, body = _post(server, "/v1/compare", {"a": "calm", "b": "noisy", "slices": 10})
         payload = json.loads(body)
         top = payload["deviation_delta"][0]
         assert top["delta"] < 0  # side b (noisy) is more blocked
@@ -194,20 +194,20 @@ class TestCompareEndpoint:
 class TestCorpusServing:
     def test_traces_lists_available_names(self, server):
         with urllib.request.urlopen(
-            f"http://127.0.0.1:{server.server_address[1]}/traces"
+            f"http://127.0.0.1:{server.server_address[1]}/v1/traces"
         ) as rsp:
             payload = json.loads(rsp.read())
         assert payload["available"] == ["calm", "extra", "noisy"]
 
     def test_health_reports_registry_stats(self, server):
         with urllib.request.urlopen(
-            f"http://127.0.0.1:{server.server_address[1]}/health"
+            f"http://127.0.0.1:{server.server_address[1]}/v1/health"
         ) as rsp:
             payload = json.loads(rsp.read())
         assert payload["registry"]["max_sessions"] == 2
         assert payload["registry"]["n_traces"] == 3
 
     def test_analyze_still_works_against_corpus_member(self, server):
-        status, body = _post(server, "/analyze", {"trace": "extra", "slices": 10})
+        status, body = _post(server, "/v1/analyze", {"trace": "extra", "slices": 10})
         assert status == 200
         assert json.loads(body)["trace"]["n_resources"] == 8

@@ -21,19 +21,17 @@ def spec():
 
 
 class TestSpecShape:
-    def test_every_route_and_alias_is_a_path(self, spec):
+    def test_every_route_is_a_path(self, spec):
         for route in ROUTES:
-            assert route.method.lower() in spec["paths"][route.path]
-            if route.legacy is not None:
-                operation = spec["paths"][route.legacy][route.method.lower()]
-                assert operation["deprecated"] is True
-                assert route.path in operation["summary"]
+            operation = spec["paths"][route.path][route.method.lower()]
+            assert "deprecated" not in operation
 
     def test_no_path_outside_the_route_table(self, spec):
-        declared = {r.path for r in ROUTES} | {
-            r.legacy for r in ROUTES if r.legacy is not None
-        }
-        assert set(spec["paths"]) == declared
+        assert set(spec["paths"]) == {r.path for r in ROUTES}
+        assert all(
+            path.startswith("/v1/") or path in ("/healthz", "/readyz")
+            for path in spec["paths"]
+        )
 
     def test_error_responses_reference_the_envelope(self, spec):
         operation = spec["paths"]["/v1/analyze"]["post"]

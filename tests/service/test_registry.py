@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.batch import discover_corpus, load_corpus, write_corpus_manifest
-from repro.service import AnalysisSession, ServiceError, SessionRegistry
+from repro.pipeline import AnalysisEngine, PipelineError
+from repro.service import SessionRegistry
 from repro.store import save_store
 from repro.trace.io import write_csv
 from repro.trace.synthetic import random_trace
@@ -25,23 +26,23 @@ def corpus(tmp_path):
 @pytest.fixture()
 def pinned_session(tmp_path):
     trace = random_trace(n_resources=4, n_slices=6, n_states=2, seed=99)
-    return AnalysisSession(trace, name="pinned")
+    return AnalysisEngine(trace, name="pinned")
 
 
 class TestConstruction:
     def test_needs_at_least_one_trace(self):
-        with pytest.raises(ServiceError, match="at least one trace"):
+        with pytest.raises(PipelineError, match="at least one trace"):
             SessionRegistry()
 
     def test_max_sessions_validated(self, corpus):
-        with pytest.raises(ServiceError, match="max_sessions"):
+        with pytest.raises(PipelineError, match="max_sessions"):
             SessionRegistry(corpus=corpus, max_sessions=0)
 
     def test_pinned_corpus_name_collision_rejected(self, corpus, tmp_path):
-        session = AnalysisSession(
+        session = AnalysisEngine(
             random_trace(n_resources=4, n_slices=6, seed=1), name="t1"
         )
-        with pytest.raises(ServiceError, match="both pinned and from the corpus"):
+        with pytest.raises(PipelineError, match="both pinned and from the corpus"):
             SessionRegistry(sessions={"t1": session}, corpus=corpus)
 
     def test_names_merge_pinned_and_corpus(self, corpus, pinned_session):

@@ -23,6 +23,7 @@ from collections import defaultdict
 import pytest
 
 from repro.batch import load_corpus
+from repro.pipeline import AnalysisRequest
 from repro.service import SessionRegistry
 from repro.store import StoreWriter, open_store, save_store
 from repro.trace.synthetic import block_trace
@@ -59,7 +60,7 @@ class TestHammer:
                 for round_index in range(12):
                     name = names[(thread_index + round_index) % len(names)]
                     session = registry.get(name)
-                    payload = session.aggregate(p=0.5, slices=8)
+                    payload = session.execute_dict(AnalysisRequest.from_query(p=0.5, slices=8))
                     with seen_lock:
                         seen[name].add(payload["trace"]["digest"])
             except BaseException as exc:  # noqa: BLE001 - surfaced below
@@ -112,7 +113,7 @@ class TestHammer:
     def test_eviction_never_serves_a_stale_generation(self, corpus_of_stores, tmp_path):
         corpus, digests = corpus_of_stores
         registry = SessionRegistry(corpus=corpus, max_sessions=1)
-        before = registry.get("m0").aggregate(p=0.5, slices=8)
+        before = registry.get("m0").execute_dict(AnalysisRequest.from_query(p=0.5, slices=8))
         assert before["trace"]["generation"] == 0
 
         # Evict m0 by touching other members (max_sessions=1).
@@ -131,7 +132,7 @@ class TestHammer:
 
         # Reopening through the registry must see the grown content; the
         # evicted session's generation-0 cache is unreachable.
-        after = registry.get("m0").aggregate(p=0.5, slices=8)
+        after = registry.get("m0").execute_dict(AnalysisRequest.from_query(p=0.5, slices=8))
         assert after["trace"]["generation"] == 1
         assert after["trace"]["digest"] == grown.digest
         assert after["trace"]["digest"] != before["trace"]["digest"]

@@ -52,7 +52,7 @@ def served_process(tmp_path):
         while True:
             try:
                 with urllib.request.urlopen(
-                    f"http://127.0.0.1:{port}/health", timeout=1
+                    f"http://127.0.0.1:{port}/v1/health", timeout=1
                 ) as rsp:
                     json.loads(rsp.read().decode())
                 break
@@ -85,7 +85,7 @@ class TestSigterm:
         process, port = served_process
         body = json.dumps({"p": 0.5, "slices": 8}).encode()
         request = urllib.request.Request(
-            f"http://127.0.0.1:{port}/analyze", data=body, method="POST"
+            f"http://127.0.0.1:{port}/v1/analyze", data=body, method="POST"
         )
         with urllib.request.urlopen(request, timeout=10) as rsp:
             payload = json.loads(rsp.read().decode())

@@ -17,7 +17,14 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.service import AnalysisSession, ServiceError, StaleGenerationError, build_server
+from repro.pipeline import (
+    AnalysisEngine,
+    AnalysisRequest,
+    PipelineError,
+    StaleGenerationError,
+    SweepRequest,
+)
+from repro.service import build_server
 from repro.store import StoreWriter, save_store, sync_store
 from repro.trace.synthetic import random_trace
 from repro.trace.trace import Trace
@@ -46,7 +53,7 @@ def parts(full_trace):
 @pytest.fixture()
 def session(tmp_path, parts):
     prefix, _ = parts
-    return AnalysisSession(save_store(prefix, tmp_path / "t.rtz"), name="live")
+    return AnalysisEngine(save_store(prefix, tmp_path / "t.rtz"), name="live")
 
 
 def _post(server, path, body):
@@ -76,30 +83,30 @@ def server(session):
 class TestSessionAppend:
     def test_append_bumps_generation_and_intervals(self, session, parts):
         _, batches = parts
-        before = session.aggregate(p=0.5, slices=10)
+        before = session.execute_dict(AnalysisRequest.from_query(p=0.5, slices=10))
         assert before["trace"]["generation"] == 0
         receipt = session.append(batches[0])
         assert receipt["generation"] == 1
         assert receipt["appended"] == len(batches[0])
-        after = session.aggregate(p=0.5, slices=10)
+        after = session.execute_dict(AnalysisRequest.from_query(p=0.5, slices=10))
         assert after["trace"]["generation"] == 1
         assert after["trace"]["n_intervals"] == before["trace"]["n_intervals"] + len(batches[0])
 
     def test_append_purges_stale_cache_entries(self, session, parts):
         _, batches = parts
-        session.aggregate_json(p=0.5, slices=10)
-        session.aggregate_json(p=0.9, slices=10)
+        session.execute(AnalysisRequest.from_query(p=0.5, slices=10))
+        session.execute(AnalysisRequest.from_query(p=0.9, slices=10))
         assert session.cache_info()["entries"] == 2
         session.append(batches[0])
         assert session.cache_info()["entries"] == 0
         # Same query after the append is a miss, not a stale hit.
-        session.aggregate_json(p=0.5, slices=10)
+        session.execute(AnalysisRequest.from_query(p=0.5, slices=10))
         info = session.cache_info()
         assert info["entries"] == 1
 
     def test_append_rejected_for_memory_sessions(self, full_trace):
-        memory = AnalysisSession(full_trace, name="mem")
-        with pytest.raises(ServiceError, match="store-backed"):
+        memory = AnalysisEngine(full_trace, name="mem")
+        with pytest.raises(PipelineError, match="store-backed"):
             memory.append([(0.0, 1.0, "r0", "state0")])
 
     def test_empty_append_is_a_noop(self, session):
@@ -109,12 +116,12 @@ class TestSessionAppend:
 
     def test_windowed_query_follows_the_live_edge(self, session, parts):
         _, batches = parts
-        first = session.aggregate(p=0.5, slices=10, last_k_slices=3)
+        first = session.execute_dict(AnalysisRequest.from_query(p=0.5, slices=10, last_k_slices=3))
         assert first["window"]["slices"] == [7, 10]
         assert first["model"]["n_slices"] == 3
         for batch in batches:
             session.append(batch)
-        grown = session.aggregate(p=0.5, slices=10, last_k_slices=3)
+        grown = session.execute_dict(AnalysisRequest.from_query(p=0.5, slices=10, last_k_slices=3))
         assert grown["window"]["stream_slices"] > 10
         assert grown["window"]["slices"][1] == grown["window"]["stream_slices"]
         assert grown["trace"]["generation"] == len(batches)
@@ -124,34 +131,38 @@ class TestSessionAppend:
         edges = stream.slicing.edges
         t0 = float(edges[2]) + 1e-9
         t1 = float(edges[5]) - 1e-9
-        payload = session.aggregate(p=0.5, slices=10, window=[t0, t1])
+        payload = session.execute_dict(
+            AnalysisRequest.from_query(p=0.5, slices=10, window=[t0, t1])
+        )
         assert payload["window"]["slices"] == [2, 5]
         assert payload["params"]["window"] == [t0, t1]
 
     def test_window_validation(self, session):
-        with pytest.raises(ServiceError, match="mutually exclusive"):
-            session.aggregate(slices=10, last_k_slices=2, window=[0.0, 1.0])
-        with pytest.raises(ServiceError, match="at least 1"):
-            session.aggregate(slices=10, last_k_slices=0)
-        with pytest.raises(ServiceError, match="t0 < t1"):
-            session.aggregate(slices=10, window=[5.0, 5.0])
-        with pytest.raises(ServiceError, match="does not overlap"):
-            session.aggregate(slices=10, window=[1e9, 2e9])
+        with pytest.raises(PipelineError, match="mutually exclusive"):
+            AnalysisRequest.from_query(slices=10, last_k_slices=2, window=[0.0, 1.0])
+        with pytest.raises(PipelineError, match="at least 1"):
+            session.execute_dict(AnalysisRequest.from_query(slices=10, last_k_slices=0))
+        with pytest.raises(PipelineError, match="t0 < t1"):
+            session.execute_dict(AnalysisRequest.from_query(slices=10, window=[5.0, 5.0]))
+        with pytest.raises(PipelineError, match="does not overlap"):
+            session.execute_dict(AnalysisRequest.from_query(slices=10, window=[1e9, 2e9]))
 
     def test_windowed_sweep(self, session):
-        payload = session.sweep(ps=[0.0, 1.0], slices=10, last_k_slices=4)
+        payload = session.run_sweep(
+            SweepRequest.from_query(ps=[0.0, 1.0], slices=10, last_k_slices=4)
+        )
         assert payload["window"]["slices"] == [6, 10]
         assert [point["p"] for point in payload["points"]] == [0.0, 1.0]
 
     def test_refresh_absorbs_external_append(self, session, parts, tmp_path):
         _, batches = parts
-        warmed = session.aggregate(p=0.5, slices=10, last_k_slices=2)
+        warmed = session.execute_dict(AnalysisRequest.from_query(p=0.5, slices=10, last_k_slices=2))
         session.append(batches[0])  # session owns a writer now
         writer = StoreWriter(tmp_path / "t.rtz")
         writer.append_intervals(batches[1])
         receipt = session.refresh()
         assert receipt["generation"] == 2
-        after = session.aggregate(p=0.5, slices=10, last_k_slices=2)
+        after = session.execute_dict(AnalysisRequest.from_query(p=0.5, slices=10, last_k_slices=2))
         assert after["trace"]["n_intervals"] == (
             warmed["trace"]["n_intervals"] + len(batches[0]) + len(batches[1])
         )
@@ -162,7 +173,7 @@ class TestSessionAppend:
         assert receipt["generation"] == 3
 
     def test_refresh_survives_external_rebuild(self, session, full_trace, tmp_path):
-        session.aggregate_json(p=0.5, slices=10)
+        session.execute(AnalysisRequest.from_query(p=0.5, slices=10))
         # Changed metadata makes the on-disk store a rewrite, not an append.
         full_trace = Trace.from_sorted_intervals(
             list(full_trace.intervals), full_trace.hierarchy,
@@ -173,7 +184,7 @@ class TestSessionAppend:
         receipt = session.refresh()
         assert receipt["generation"] == 1
         assert receipt["n_intervals"] == full_trace.n_intervals
-        payload = session.aggregate(p=0.5, slices=10)
+        payload = session.execute_dict(AnalysisRequest.from_query(p=0.5, slices=10))
         assert payload["trace"]["n_intervals"] == full_trace.n_intervals
 
 
@@ -182,9 +193,9 @@ class TestGenerationConflicts:
         _, batches = parts
         session.append(batches[0])
         with pytest.raises(StaleGenerationError, match="generation 1"):
-            session.aggregate_json(p=0.5, slices=10, generation=0)
+            session.execute(AnalysisRequest.from_query(p=0.5, slices=10, generation=0))
         # The current generation is accepted.
-        session.aggregate_json(p=0.5, slices=10, generation=1)
+        session.execute(AnalysisRequest.from_query(p=0.5, slices=10, generation=1))
 
     def test_analyze_racing_append_conflicts(self, session, parts):
         """Regression: an /analyze that loses the race against an in-flight
@@ -198,9 +209,9 @@ class TestGenerationConflicts:
 
         session._race_hook = sneak_in_an_append
         with pytest.raises(StaleGenerationError, match="moved to generation 1"):
-            session.aggregate_json(p=0.5, slices=10)
+            session.execute(AnalysisRequest.from_query(p=0.5, slices=10))
         # The retry (post-append world) succeeds and reports the new content.
-        payload = session.aggregate(p=0.5, slices=10)
+        payload = session.execute_dict(AnalysisRequest.from_query(p=0.5, slices=10))
         assert payload["trace"]["generation"] == 1
 
     def test_generation_pin_checked_under_the_lock(self, session, parts):
@@ -216,7 +227,7 @@ class TestGenerationConflicts:
 
         session._race_hook = sneak_in_an_append
         with pytest.raises(StaleGenerationError):
-            session.aggregate_json(p=0.5, slices=10, generation=pinned)
+            session.execute(AnalysisRequest.from_query(p=0.5, slices=10, generation=pinned))
 
     def test_sweep_racing_append_conflicts(self, session, parts):
         _, batches = parts
@@ -227,31 +238,31 @@ class TestGenerationConflicts:
 
         session._race_hook = sneak_in_an_append
         with pytest.raises(StaleGenerationError):
-            session.sweep(ps=[0.5], slices=10)
+            session.run_sweep(SweepRequest.from_query(ps=[0.5], slices=10))
 
 
 class TestHttpStreaming:
     def test_append_endpoint_roundtrip(self, server, session, parts):
         _, batches = parts
         status, receipt = _post(
-            server, "/append",
+            server, "/v1/append",
             {"trace": "live", "intervals": [list(row) for row in batches[0]]},
         )
         assert status == 200
         assert receipt["generation"] == 1
         assert receipt["appended"] == len(batches[0])
-        status, payload = _post(server, "/analyze", {"p": 0.5, "slices": 10})
+        status, payload = _post(server, "/v1/analyze", {"p": 0.5, "slices": 10})
         assert status == 200
         assert payload["trace"]["generation"] == 1
 
     def test_append_without_intervals_400(self, server):
-        status, payload = _post(server, "/append", {"trace": "live"})
+        status, payload = _post(server, "/v1/append", {"trace": "live"})
         assert status == 400
         assert "intervals" in payload["error"]["message"]
 
     def test_append_bad_rows_400(self, server):
         status, payload = _post(
-            server, "/append", {"trace": "live", "intervals": [[0.0, 1.0, "ghost", "x"]]}
+            server, "/v1/append", {"trace": "live", "intervals": [[0.0, 1.0, "ghost", "x"]]}
         )
         assert status == 400
         assert "unknown resource" in payload["error"]["message"]
@@ -260,22 +271,25 @@ class TestHttpStreaming:
         _, batches = parts
         session.append(batches[0])
         status, payload = _post(
-            server, "/analyze", {"p": 0.5, "slices": 10, "generation": 0}
+            server, "/v1/analyze", {"p": 0.5, "slices": 10, "generation": 0}
         )
         assert status == 409
         assert "generation" in payload["error"]["message"]
 
     def test_windowed_analyze_over_http_matches_session(self, server, session):
         status, payload = _post(
-            server, "/analyze", {"p": 0.5, "slices": 10, "last_k_slices": 3}
+            server, "/v1/analyze", {"p": 0.5, "slices": 10, "last_k_slices": 3}
         )
         assert status == 200
-        assert payload == session.aggregate(p=0.5, slices=10, last_k_slices=3)
+        assert payload == session.execute_dict(
+            AnalysisRequest.from_query(p=0.5, slices=10, last_k_slices=3)
+        )
 
     def test_interleaved_append_and_analyze_hammer(self, server, session, parts):
         """No 500s and no stale result crossing a generation boundary."""
         _, batches = parts
-        base_intervals = session.aggregate(p=0.5, slices=8)["trace"]["n_intervals"]
+        base = session.execute_dict(AnalysisRequest.from_query(p=0.5, slices=8))
+        base_intervals = base["trace"]["n_intervals"]
         # Appends are sequential (the store is single-writer); generation g
         # therefore deterministically holds base + len(batches[:g]) rows.
         expected = {0: base_intervals}
@@ -288,7 +302,7 @@ class TestHttpStreaming:
             codes = []
             for batch in batches:
                 status, _ = _post(
-                    server, "/append",
+                    server, "/v1/append",
                     {"trace": "live", "intervals": [list(row) for row in batch]},
                 )
                 codes.append(status)
@@ -304,7 +318,7 @@ class TestHttpStreaming:
                     # Pin the generation the client last saw — the shape that
                     # can legitimately 409 mid-append.
                     body["generation"] = session.generation
-                status, payload = _post(server, "/analyze", body)
+                status, payload = _post(server, "/v1/analyze", body)
                 outcomes.append((status, payload))
             return outcomes
 

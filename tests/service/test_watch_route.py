@@ -15,7 +15,8 @@ import urllib.request
 
 import pytest
 
-from repro.service import AnalysisSession, build_server
+from repro.pipeline import AnalysisEngine
+from repro.service import build_server
 from repro.store import StoreWriter, open_store, save_store
 from repro.trace.synthetic import monitoring_scenario, random_trace
 from repro.trace.trace import Trace
@@ -47,8 +48,8 @@ def store_path(tmp_path, scenario):
 @pytest.fixture()
 def server(store_path):
     sessions = {
-        "demo": AnalysisSession(open_store(store_path), name="demo"),
-        "frozen": AnalysisSession(
+        "demo": AnalysisEngine(open_store(store_path), name="demo"),
+        "frozen": AnalysisEngine(
             random_trace(n_resources=4, n_slices=6, seed=1), name="frozen"
         ),
     }

@@ -394,7 +394,8 @@ class TestAnalyzeWindow:
         import threading
         import urllib.request
 
-        from repro.service import AnalysisSession, build_server
+        from repro.pipeline import AnalysisEngine
+        from repro.service import build_server
         from repro.store import open_store
 
         store_path = tmp_path / "t.rtz"
@@ -407,13 +408,13 @@ class TestAnalyzeWindow:
         cli_output = capsys.readouterr().out
 
         server = build_server(
-            {"t": AnalysisSession(open_store(store_path), name="t")}, port=0
+            {"t": AnalysisEngine(open_store(store_path), name="t")}, port=0
         )
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:
             request = urllib.request.Request(
-                f"http://127.0.0.1:{server.server_address[1]}/analyze",
+                f"http://127.0.0.1:{server.server_address[1]}/v1/analyze",
                 data=json.dumps({"slices": 10, "last_k_slices": 3}).encode(),
                 method="POST",
             )
