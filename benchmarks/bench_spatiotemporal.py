@@ -3,24 +3,27 @@
 Times Algorithm 1 on a ``slices x resources`` grid of synthetic microscopic
 models, comparing the per-cell reference dynamic program (the seed
 implementation, kept as ``compute_tables_reference``) against the kernel
-tiers of :mod:`repro.core.kernels` — the historical anti-diagonal ``numpy``
-sweep, the cache-``blocked`` transpose-buffered sweep, and the compiled
-``numba`` sweep when numba is importable.  Every grid cell checks that all
-timed implementations return bit-identical tables, so the speedup numbers
-are guaranteed to describe the same computation.
+tiers of :mod:`repro.core.kernels` — the vectorized ``numpy`` sweep and the
+compiled ``c`` sweep (wherever it builds).  Every grid cell checks that all
+timed implementations return bit-identical tables, so the ratios are
+guaranteed to describe the same computation.  ``speedup`` is per-cell
+reference seconds over ``numpy`` seconds; ``kernel_ratio`` is ``numpy``
+seconds over ``c`` seconds (whole ``compute_tables``: base tables, merges
+and sweep).
 
 Beyond the classic grid, the full run times a **large row family**
 (``large_results``): a 1024-resource x 1000-slice microscopic model analyzed
 through a trailing window — the fleet-monitoring shape where the cubic DP
 runs on the window while the prefix tables span the whole trace.  The
 per-cell reference is skipped there (the row records why); the gated ratio
-is ``kernel_ratio`` (numpy tier vs the best non-reference tier).
+is ``kernel_ratio``.
 
 Results are written as ``BENCH_spatiotemporal.json`` (at the repository root
 by default), seeding the performance trajectory.  CI runs the ``--smoke``
 grid and gates regressions with ``--check-against``: the comparison uses
-*speedup ratios* (same-runner, stable across hardware), never absolute
-wall-clock.
+ratios (same-runner, stable across hardware), never absolute wall-clock.
+``kernel_ratio`` fails the gate when the ``c`` tier slows down; it is
+skipped, with a warning, where the ``c`` tier cannot be built.
 
 Usage::
 
@@ -45,7 +48,13 @@ if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
 
 from repro.core.hierarchy import Hierarchy  # noqa: E402
-from common import bench_meta, GateMetric, check_ratio_regression, timed_call  # noqa: E402
+from common import (  # noqa: E402
+    bench_meta,
+    GateMetric,
+    check_ratio_regression,
+    timed_call,
+    warn_skipped_gates,
+)
 
 from repro.core.kernels import available_kernels  # noqa: E402
 from repro.core.microscopic import MicroscopicModel  # noqa: E402
@@ -151,6 +160,8 @@ def bench_cell(
     }
     for tier, seconds in kernel_seconds.items():
         row[f"seconds_{tier}"] = round(seconds, 6)
+    if "c" in kernel_seconds:
+        row["kernel_ratio"] = round(seconds_vectorized / kernel_seconds["c"], 3)
     if jobs > 1:
         seconds_jobs, parallel = timed_call(
             lambda: aggregator.compute_tables(p, jobs=jobs), repeats
@@ -202,11 +213,6 @@ def bench_large_cell(
         for tier in kernel_tables
         if tier != "numpy"
     )
-    best_tier = min(
-        (tier for tier in kernel_seconds if tier != "numpy"),
-        key=kernel_seconds.get,
-        default="numpy",
-    )
     row = {
         "resources": n_resources,
         "slices": n_slices,
@@ -216,12 +222,12 @@ def bench_large_cell(
         "model_seconds": round(model_seconds, 6),
         "stats_seconds": round(stats_seconds, 6),
         "reference": "skipped: cubic per-cell DP infeasible at this size",
-        "best_tier": best_tier,
-        "kernel_ratio": round(kernel_seconds["numpy"] / kernel_seconds[best_tier], 3),
         "kernels_identical": kernels_identical,
     }
     for tier, seconds in kernel_seconds.items():
         row[f"seconds_{tier}"] = round(seconds, 6)
+    if "c" in kernel_seconds:
+        row["kernel_ratio"] = round(kernel_seconds["numpy"] / kernel_seconds["c"], 3)
     return row
 
 
@@ -231,12 +237,18 @@ def check_regression(
     baseline_path: Path,
     max_regression: float,
 ) -> int:
-    """Compare speedup ratios against a committed baseline; 0 when acceptable."""
+    """Compare the ratios against a committed baseline; 0 when acceptable."""
+    c_tier = "c" in available_kernels()
+    kernel_ratio = GateMetric(
+        "kernel_ratio", max_regression=max_regression,
+        active=c_tier, note="" if c_tier else "c tier unavailable: no C compiler",
+    )
+    warn_skipped_gates([kernel_ratio])
     code = check_ratio_regression(
         results,
         baseline_path,
         key_fields=("slices", "resources"),
-        metrics=[GateMetric("speedup", max_regression=max_regression)],
+        metrics=[GateMetric("speedup", max_regression=max_regression), kernel_ratio],
     )
     if large_results:
         code = max(
@@ -245,7 +257,7 @@ def check_regression(
                 large_results,
                 baseline_path,
                 key_fields=("resources", "slices", "window"),
-                metrics=[GateMetric("kernel_ratio", max_regression=max_regression)],
+                metrics=[kernel_ratio],
                 results_key="large_results",
             ),
         )
@@ -296,8 +308,10 @@ def main(argv: "list[str] | None" = None) -> int:
             print(
                 f"slices={n_slices:>4} resources={n_resources:>4} "
                 f"percell={row['seconds_percell']:.3f}s "
-                f"vectorized={row['seconds_vectorized']:.3f}s "
-                f"speedup={row['speedup']:.1f}x identical={row['tables_identical']}"
+                + " ".join(f"{tier}={row[f'seconds_{tier}']:.3f}s" for tier in available_kernels())
+                + f" speedup={row['speedup']:.1f}x"
+                f" kernel_ratio={row.get('kernel_ratio', float('nan')):.2f}x"
+                f" identical={row['tables_identical']}"
             )
             if not row["tables_identical"]:
                 print("FATAL: vectorized tables diverge from the reference", file=sys.stderr)

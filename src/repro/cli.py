@@ -146,9 +146,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "trailing K slices or 'T0:T1' for the slices covering the "
                               "time span [T0, T1)")
     analyze.add_argument("--kernel", choices=("auto",) + kernels, default=None,
-                         help="dynamic-program kernel tier (default: auto — numba when "
-                              "installed, else numpy below 1024 slices and the blocked "
-                              "numpy kernel from 1024 on; all tiers are bit-identical)")
+                         help="dynamic-program kernel tier (default: auto — the compiled "
+                              "c sweep when it builds with the system C compiler, else "
+                              "numpy; all tiers are bit-identical)")
     analyze.add_argument("--trace-out", default=None, metavar="PATH",
                          help="record a span trace of this run and write it as "
                               "Chrome trace-event JSON (open in chrome://tracing "
@@ -175,7 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="restrict every member's analysis to the same slice window "
                             "('last:K' or 'T0:T1') — a fleet-wide recent-activity pass")
     batch.add_argument("--kernel", choices=("auto",) + kernels, default=None,
-                       help="dynamic-program kernel tier for every member (default: auto)")
+                       help="dynamic-program kernel tier for every member (default: auto "
+                            "— c when it builds, else numpy)")
     batch.add_argument("--output", default=None, metavar="DIR",
                        help="write per-trace analysis JSON files and batch.json here")
     batch.add_argument("--json", action="store_true",

@@ -269,8 +269,10 @@ class IntervalStatistics:
         cached = self._extrema_cache.get(node.index)
         if cached is not None:
             return cached
+        # The node's rows of ``model.proportions``, divided here: the property
+        # divides the whole (R, T, X) cube on every access.
         a, b = node.leaf_start, node.leaf_end
-        props = self._model.proportions[a:b]
+        props = self._model.durations[a:b] / self._model.slice_durations[None, :, None]
         extrema = (props.max(axis=0), props.min(axis=0))
         self._extrema_cache[node.index] = extrema
         return extrema

@@ -8,7 +8,7 @@ the children below them are final), so one call runs the recurrence for a
 whole height.  ``best`` is float64; ``cut`` and ``count`` are int32 in
 Algorithm 1 (any integer dtype works: the "no eligible cut" sentinel of the
 tie-break is the largest value of ``count``'s dtype, which the counts stay
-below).  Three tiers compute the very same recurrence — ``best[n, i, j] =
+below).  Two tiers compute the very same recurrence — ``best[n, i, j] =
 max over k of best[n, i, i + k] + best[n, i + k + 1, j]`` with the
 coarsest-partition tie-break — and are **bit-identical by construction**
 (the property suite diffs them cell by cell, no tolerances):
@@ -18,44 +18,54 @@ coarsest-partition tie-break — and are **bit-identical by construction**
     interval length of *every* node in the slab costs a constant number of
     numpy calls.  The ``(nodes, starts, cuts)`` temporaries of one length are
     bounded by :data:`SWEEP_BATCH_BYTES`: the node axis is split into chunks
-    that fit.  Its right-hand window walks *up* a column of the row-major
-    table (stride ``-s0``), which thrashes the cache once ``|T|`` outgrows
-    it.  Kept as the always-importable reference.
+    that fit.  Always available; the reference and the fallback.
 
-``blocked``
-    The same sweep per node, reading the right-hand operands through a
-    maintained C-contiguous transpose buffer, processed in row blocks: both
-    windows become row-contiguous strided views, so every interval length
-    streams through memory instead of striding down columns.  Identical
-    additions on identical values, so identical bits — just a cache-friendly
-    access order.  The transpose upkeep costs a constant factor, so it only
-    pays off once the ``(|T|, |T|)`` tables outgrow the last-level cache:
-    *auto* detection picks it at ``|T| >= BLOCKED_MIN_SLICES`` and ``numpy``
-    below.
+``c``
+    The per-cell two-pass loop of ``sweep.c`` (exact maximum, then the first
+    minimal count among the epsilon-eligible cuts), node by node, reading the
+    right operand through transposed mirrors so both operands are
+    row-contiguous.  It performs the same IEEE additions and comparisons on
+    the same float64 values as the numpy tier.  ``sweep.c`` ships with the
+    package and is compiled on first use with the system ``cc`` (or ``gcc``)
+    and the pinned flags :data:`C_FLAGS`: ``-ffp-contract=off`` because a
+    fused multiply-add would change bits, and never ``-ffast-math``.  The
+    library is cached under ``$XDG_CACHE_HOME/repro/`` (default
+    ``~/.cache/repro/``), keyed by a hash of the source, the flags and the
+    compiler's ``--version``, and named after the SHA-256 of its own bytes,
+    which is checked before it is loaded (a truncated library would crash
+    the loader).  It is only loaded from a directory owned by the current
+    user and writable by no one else; when the cache directory is unusable
+    the library is built in a fresh private temporary directory instead.
+    Builds publish atomically (temporary file + ``os.replace``), so
+    concurrent processes race safely.  Loaded through :mod:`ctypes`, once
+    per process; the call releases the GIL.
 
-``numba``
-    A ``numba.njit`` per-cell loop nest run on each node of the slab (two
-    passes: exact max, then first minimal aggregate count among the
-    epsilon-eligible cuts — the same tie-break ``argmin`` applies).  Compiled
-    only when numba is importable; selecting it without numba installed is
-    an explicit error, while *auto* detection silently falls back to the
-    numpy tiers.
-
-Selection: the ``REPRO_KERNEL`` environment variable (``numpy`` | ``blocked``
-| ``numba`` | ``auto``), overridden per-run by ``repro … --kernel`` (which
-calls :func:`set_default_kernel`, also exporting the choice to child worker
-processes through the environment).
+Selection: the ``REPRO_KERNEL`` environment variable (``numpy`` | ``c`` |
+``auto``), overridden per-run by ``repro … --kernel`` (which calls
+:func:`set_default_kernel`, also exporting the choice to child worker
+processes through the environment).  *auto* picks ``c`` when it builds and
+loads, and falls back to ``numpy`` silently otherwise; an explicit ``c``
+that cannot be built raises :class:`KernelUnavailableError`.
 """
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import os
+import shutil
+import stat
+import subprocess
+import tempfile
+import threading
+from pathlib import Path
+from typing import Callable, Dict
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
-    "BLOCKED_MIN_SLICES",
+    "C_FLAGS",
     "SWEEP_BATCH_BYTES",
     "KERNELS",
     "KernelUnavailableError",
@@ -65,29 +75,15 @@ __all__ = [
     "set_default_kernel",
     "temporal_cuts",
     "temporal_cuts_numpy",
-    "temporal_cuts_blocked",
-    "temporal_cuts_numba",
+    "temporal_cuts_c",
     "numba_available",
 ]
 
-#: Recognized kernel names, slowest-but-simplest first.
-KERNELS = ("numpy", "blocked", "numba")
+#: Recognized kernel names, the always-available reference first.
+KERNELS = ("numpy", "c")
 
 #: Environment variable holding the process-wide default kernel.
 KERNEL_ENV = "REPRO_KERNEL"
-
-#: Row-block height of the blocked sweep: bounds the per-length temporaries to
-#: ``O(block * |T|)`` and keeps the active slab of both windows cache-resident.
-_ROW_BLOCK = 256
-
-#: Table size where auto-detection switches from ``numpy`` to ``blocked``:
-#: the auto-selection threshold, not a measured crossover.  Below it the
-#: whole ``(|T|, |T|)`` float64 table fits in the last-level cache and the
-#: transpose upkeep is pure overhead.  One unrecorded measurement, taken
-#: before the numpy tier swept a whole hierarchy height at once, had blocked
-#: 1.9x faster at |T| = 1024 and breaking even at 256; no committed bench
-#: row backs either figure.
-BLOCKED_MIN_SLICES = 1024
 
 #: Memory budget of the ``numpy`` tier's per-length temporaries.  One length
 #: ``L`` of a chunk of ``c`` nodes materializes ``c * (T - L) * L`` candidate
@@ -106,69 +102,154 @@ _CELL_BYTES = 8 + 8 + 1 + 8
 #: value and count, the improvement mask and the update indices.
 _ROW_BYTES = 128
 
+#: The ``c`` tier's compiler flags.  ``-ffp-contract=off`` forbids fusing a
+#: multiply and an add into one FMA, which rounds once instead of twice and
+#: would change bits; ``-ffast-math`` (reassociation, NaN assumptions) is
+#: never used for the same reason.
+C_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+_C_SOURCE = Path(__file__).with_name("sweep.c")
+
 
 class KernelUnavailableError(RuntimeError):
     """An explicitly requested kernel cannot run in this environment."""
 
 
-# --------------------------------------------------------------------------- #
-# Optional numba tier
-# --------------------------------------------------------------------------- #
-_NUMBA_SWEEP = None
-
-
 def numba_available() -> bool:
-    """Whether the ``numba`` tier can be compiled in this environment."""
+    """Whether numba is importable (provenance only: no tier uses it)."""
     try:
         import numba  # noqa: F401
-    except Exception:  # pragma: no cover - exercised on numba-less runners
+    except Exception:  # pragma: no cover - numba is optional
         return False
     return True
 
 
-def _numba_sweep_compiled():
-    """Compile (once) and return the njit sweep; raises when numba is absent."""
-    global _NUMBA_SWEEP
-    if _NUMBA_SWEEP is not None:
-        return _NUMBA_SWEEP
-    import numba
+# --------------------------------------------------------------------------- #
+# c tier — build, cache and load
+# --------------------------------------------------------------------------- #
+#: The ``c`` tier's sweep functions, keyed by the dtype of ``count``.
+_Sweeps = Dict[np.dtype, Callable[..., None]]
 
-    @numba.njit(cache=False)
-    def sweep(best, cut, count, epsilon, no_eligible):  # pragma: no cover - needs numba
-        n = best.shape[0]
-        for length in range(1, n):
-            for i in range(n - length):
-                j = i + length
-                # Pass 1: exact maximum of the candidate cut values.
-                top = best[i, i] + best[i + 1, j]
-                for k in range(1, length):
-                    v = best[i, i + k] + best[i + k + 1, j]
-                    if v > top:
-                        top = v
-                # Pass 2: first cut with the minimal aggregate count among
-                # the epsilon-eligible ones (== argmin of the masked counts).
-                threshold = top - epsilon
-                best_k = 0
-                best_count = no_eligible
-                for k in range(length):
-                    v = best[i, i + k] + best[i + k + 1, j]
-                    if v >= threshold:
-                        c = count[i, i + k] + count[i + k + 1, j]
-                        if c < best_count:
-                            best_count = c
-                            best_k = k
-                value = best[i, i + best_k] + best[i + best_k + 1, j]
-                current = best[i, j]
-                if value > current + epsilon or (
-                    value > current - epsilon and best_count < count[i, j]
-                ):
-                    best[i, j] = value
-                    count[i, j] = best_count
-                    cut[i, j] = i + best_k
+#: The loaded ``c`` sweeps, or why the tier is unavailable; ``None`` until
+#: the first use in this process.
+_C_SWEEPS: "_Sweeps | str | None" = None
+_C_LOCK = threading.Lock()
+
+
+def _compiler() -> "str | None":
+    """The system C compiler: ``cc``, else ``gcc``, else ``None``."""
+    return shutil.which("cc") or shutil.which("gcc")
+
+
+def _cache_dir() -> Path:
+    """``$XDG_CACHE_HOME/repro`` (default ``~/.cache/repro``)."""
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    return Path(base) / "repro"
+
+
+def _private(path: Path, kind: int) -> bool:
+    """Whether ``path`` (not a symlink) is of ``kind``, ours, and writable by no one else."""
+    try:
+        info = os.lstat(path)
+    except OSError:
+        return False
+    return (
+        stat.S_IFMT(info.st_mode) == kind
+        and info.st_uid == os.getuid()
+        and not info.st_mode & (stat.S_IWGRP | stat.S_IWOTH)
+    )
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _library_key(compiler: str, source: bytes) -> str:
+    """Hash of the source, the flags and the compiler's ``--version`` output."""
+    version = subprocess.run(
+        [compiler, "--version"], capture_output=True, timeout=60, check=False
+    ).stdout
+    return _digest(b"\0".join([source, " ".join(C_FLAGS).encode(), version]))
+
+
+def _open(path: Path) -> "_Sweeps | None":
+    """Load ``path`` if it is private and its bytes match the digest in its name."""
+    if not _private(path.parent, stat.S_IFDIR) or not _private(path, stat.S_IFREG):
         return None
+    try:
+        if _digest(path.read_bytes()) != path.stem.rsplit("-", 1)[-1]:
+            return None
+        library = ctypes.CDLL(str(path))
+    except OSError:
+        return None
+    sweeps = {}
+    for dtype, integer in ((np.int32, ctypes.c_int32), (np.int64, ctypes.c_int64)):
+        sweep = getattr(library, f"sweep_{np.dtype(dtype).name}", None)
+        if sweep is None:
+            return None
+        sweep.restype = None
+        sweep.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 5 + [ctypes.c_double, integer]
+        sweeps[np.dtype(dtype)] = sweep
+    return sweeps
 
-    _NUMBA_SWEEP = sweep
-    return sweep
+
+def _build(compiler: str, source: bytes, key: str, directory: Path) -> "_Sweeps | str":
+    """Compile ``source`` into ``directory`` and load it; the sweeps or an error text."""
+    fd, tmp = tempfile.mkstemp(prefix=".sweep-", suffix=".so", dir=directory)
+    os.close(fd)
+    try:
+        result = subprocess.run(
+            [compiler, *C_FLAGS, "-x", "c", "-", "-o", tmp],
+            input=source, capture_output=True, timeout=300, check=False,
+        )
+        if result.returncode != 0:
+            error = result.stderr.decode(errors="replace").strip().splitlines()
+            return f"{compiler} failed on {_C_SOURCE.name}: {error[-1] if error else result.returncode}"
+        os.chmod(tmp, 0o755)
+        path = directory / f"sweep-{key}-{_digest(Path(tmp).read_bytes())}.so"
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return _open(path) or f"the built library {path} could not be loaded"
+
+
+def _load_c_sweeps() -> "_Sweeps | str":
+    """Find or build the ``c`` tier's library; the sweeps or why there are none."""
+    if os.name != "posix":
+        return "the c tier needs a POSIX system"
+    compiler = _compiler()
+    if compiler is None:
+        return "no C compiler (cc or gcc) found on PATH"
+    try:
+        source = _C_SOURCE.read_bytes()
+        key = _library_key(compiler, source)
+        cache = _cache_dir()
+        try:
+            cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+        except OSError:
+            pass
+        if _private(cache, stat.S_IFDIR):
+            for path in sorted(cache.glob(f"sweep-{key}-*.so")):
+                sweeps = _open(path)
+                if sweeps is not None:
+                    return sweeps
+            if os.access(cache, os.W_OK):
+                return _build(compiler, source, key, cache)
+        # No usable cache: build in a private directory, removed once loaded.
+        with tempfile.TemporaryDirectory(prefix="repro-sweep-") as private:
+            return _build(compiler, source, key, Path(private))
+    except (OSError, subprocess.SubprocessError) as exc:
+        return f"building {_C_SOURCE.name} failed: {exc}"
+
+
+def _c_sweeps() -> "_Sweeps | str":
+    """The ``c`` tier's sweeps (built and loaded once per process), or why not."""
+    global _C_SWEEPS
+    with _C_LOCK:
+        if _C_SWEEPS is None:
+            _C_SWEEPS = _load_c_sweeps()
+        return _C_SWEEPS
 
 
 # --------------------------------------------------------------------------- #
@@ -176,46 +257,39 @@ def _numba_sweep_compiled():
 # --------------------------------------------------------------------------- #
 def available_kernels() -> tuple[str, ...]:
     """The kernel tiers runnable in this environment."""
-    if numba_available():
-        return KERNELS
-    return tuple(name for name in KERNELS if name != "numba")
+    return KERNELS if isinstance(_c_sweeps(), dict) else ("numpy",)
 
 
-def default_kernel(n_slices: "int | None" = None) -> str:
+def default_kernel() -> str:
     """The process-wide default tier: ``REPRO_KERNEL`` or auto-detection.
 
-    Auto-detection prefers ``numba``; without it the choice is size-aware —
-    ``blocked`` once the table reaches :data:`BLOCKED_MIN_SLICES` (where the
-    cache-friendly access order pays for its transpose upkeep), ``numpy``
-    below (and whenever the table size is unknown and small sizes are the
-    common case).
+    Auto-detection picks ``c`` when its library builds and loads, else
+    ``numpy``.
     """
     requested = os.environ.get(KERNEL_ENV, "").strip().lower()
     if requested and requested != "auto":
         return resolve_kernel(requested)
-    if numba_available():
-        return "numba"
-    if n_slices is not None and n_slices >= BLOCKED_MIN_SLICES:
-        return "blocked"
-    return "numpy"
+    return "c" if isinstance(_c_sweeps(), dict) else "numpy"
 
 
-def resolve_kernel(kernel: "str | None", n_slices: "int | None" = None) -> str:
+def resolve_kernel(kernel: "str | None") -> str:
     """Validate a kernel name (``None``/``"auto"`` pick the default)."""
     if kernel is None:
-        return default_kernel(n_slices)
+        return default_kernel()
     name = str(kernel).strip().lower()
     if name == "auto":
-        return default_kernel(n_slices)
+        return default_kernel()
     if name not in KERNELS:
         raise KernelUnavailableError(
             f"unknown kernel {kernel!r} (choose from {', '.join(KERNELS)}, auto)"
         )
-    if name == "numba" and not numba_available():
-        raise KernelUnavailableError(
-            "kernel 'numba' requested but numba is not importable; "
-            "install numba or use --kernel blocked"
-        )
+    if name == "c":
+        sweeps = _c_sweeps()
+        if not isinstance(sweeps, dict):
+            raise KernelUnavailableError(
+                f"kernel 'c' requested but the C sweep is unavailable ({sweeps}); "
+                "use --kernel numpy"
+            )
     return name
 
 
@@ -319,108 +393,53 @@ def temporal_cuts_numpy(
 
 
 # --------------------------------------------------------------------------- #
-# blocked tier — transpose-buffered, row-blocked sweep
+# c tier — the compiled per-cell sweep
 # --------------------------------------------------------------------------- #
-def temporal_cuts_blocked(
-    best: np.ndarray,
-    cut: np.ndarray,
-    count: np.ndarray,
-    epsilon: float,
-    block: int = _ROW_BLOCK,
-) -> None:
-    """Cache-blocked variant of :func:`temporal_cuts_numpy` (bit-identical).
-
-    Runs node by node over an ``(N, T, T)`` slab (or one ``(T, T)`` table).
-    Maintains C-contiguous transposes of ``best``/``count`` so the right-hand
-    operand ``best[i + k + 1, i + L]`` is read as the row-contiguous window
-    ``bestT[i + L, i + 1 + k]`` instead of a negative-stride column walk, and
-    processes starts in blocks of ``block`` rows to bound the temporaries.
-    The candidate values are the same two-operand additions on the same
-    float64 values in the same element order as the numpy tier, and the
-    max / eligibility / argmin tie-break operate on those same values — so
-    every table cell comes out bit-for-bit identical.
-    """
-    for node in zip(_slab(best), _slab(cut), _slab(count)):
-        _blocked_node(*node, epsilon, block)
-
-
-def _blocked_node(
-    best: np.ndarray, cut: np.ndarray, count: np.ndarray, epsilon: float, block: int
-) -> None:
-    """The blocked sweep of one node's ``(T, T)`` tables."""
-    n_slices = best.shape[0]
-    if n_slices <= 1:
-        return
-    no_eligible = _no_eligible(count)
-    best_t = np.ascontiguousarray(best.T)
-    count_t = np.ascontiguousarray(count.T)
-    s0, s1 = best.strides
-    c0, c1 = count.strides
-    t0, t1 = best_t.strides
-    u0, u1 = count_t.strides
-    for length in range(1, n_slices):
-        m = n_slices - length
-        # left[i, k] = best[i, i + k]; right[i, k] = bestT[i + L, i + 1 + k]
-        # == best[i + k + 1, i + L] — both row-contiguous along k.
-        left = as_strided(best, shape=(m, length), strides=(s0 + s1, s1))
-        left_c = as_strided(count, shape=(m, length), strides=(c0 + c1, c1))
-        right = as_strided(best_t[length:, 1:], shape=(m, length), strides=(t0 + t1, t1))
-        right_c = as_strided(count_t[length:, 1:], shape=(m, length), strides=(u0 + u1, u1))
-        for lo in range(0, m, block):
-            hi = min(lo + block, m)
-            starts = np.arange(lo, hi)
-            values = left[lo:hi] + right[lo:hi]
-            counts = left_c[lo:hi] + right_c[lo:hi]
-            top = values.max(axis=1, keepdims=True)
-            eligible = values >= top - epsilon
-            k = np.where(eligible, counts, no_eligible).argmin(axis=1)
-            local = starts - lo
-            value = values[local, k]
-            cut_count = counts[local, k]
-            ends = starts + length
-            current = best[starts, ends]
-            current_count = count[starts, ends]
-            improve = (value > current + epsilon) | (
-                (value > current - epsilon) & (cut_count < current_count)
-            )
-            if improve.any():
-                rows = starts[improve]
-                cols = rows + length
-                new_value = value[improve]
-                new_count = cut_count[improve]
-                best[rows, cols] = new_value
-                count[rows, cols] = new_count
-                cut[rows, cols] = rows + k[improve]
-                # Keep the transpose buffers exact mirrors: within one length
-                # the updated cells (i, i + L) are never read back, so the
-                # mirrored write order is irrelevant to the result.
-                best_t[cols, rows] = new_value
-                count_t[cols, rows] = new_count
-
-
-# --------------------------------------------------------------------------- #
-# numba tier
-# --------------------------------------------------------------------------- #
-def temporal_cuts_numba(
+def temporal_cuts_c(
     best: np.ndarray, cut: np.ndarray, count: np.ndarray, epsilon: float
 ) -> None:
-    """``numba.njit`` per-cell sweep, node by node (bit-identical; requires numba)."""
-    if not numba_available():
-        raise KernelUnavailableError(
-            "kernel 'numba' requested but numba is not importable; "
-            "install numba or use --kernel blocked"
+    """The compiled sweep of ``sweep.c`` (bit-identical to the numpy tier).
+
+    int32 and int64 counts run in C (``cut`` is converted to ``count``'s
+    dtype on the way); other integer dtypes run the numpy tier.  Slabs that
+    are not C-contiguous, or not of those dtypes, are copied in and back.
+    """
+    sweeps = _c_sweeps()
+    if not isinstance(sweeps, dict):
+        raise KernelUnavailableError(f"kernel 'c' is unavailable ({sweeps})")
+    best, cut, count = _slab(best), _slab(cut), _slab(count)
+    if not (best.ndim == 3 and best.shape == cut.shape == count.shape
+            and best.shape[1] == best.shape[2]):
+        raise ValueError(
+            "best, cut and count must be (N, T, T) slabs or (T, T) tables of one shape, "
+            f"got {best.shape}, {cut.shape}, {count.shape}"
         )
-    sweep = _numba_sweep_compiled()
-    no_eligible = _no_eligible(count)
-    for node in zip(_slab(best), _slab(cut), _slab(count)):
-        sweep(*node, float(epsilon), no_eligible)
+    if not all(table.flags.writeable for table in (best, cut, count)):
+        raise ValueError("best, cut and count are updated in place and must be writeable")
+    sweep = sweeps.get(count.dtype)
+    if sweep is None:
+        temporal_cuts_numpy(best, cut, count, epsilon)
+        return
+    n_nodes, n_slices = best.shape[:2]
+    if n_slices <= 1:
+        return
+    tables = (best, cut, count)
+    work = [
+        np.ascontiguousarray(table, dtype=dtype)
+        for table, dtype in zip(tables, (np.float64, count.dtype, count.dtype))
+    ]
+    best_t = np.empty((n_slices, n_slices))
+    count_t = np.empty((n_slices, n_slices), dtype=count.dtype)
+    sweep(
+        n_nodes, n_slices, *(array.ctypes.data for array in (*work, best_t, count_t)),
+        float(epsilon), _no_eligible(count),
+    )
+    for table, array in zip(tables, work):
+        if array is not table:
+            table[...] = array
 
 
-_SWEEPS = {
-    "numpy": temporal_cuts_numpy,
-    "blocked": temporal_cuts_blocked,
-    "numba": temporal_cuts_numba,
-}
+_SWEEPS = {"numpy": temporal_cuts_numpy, "c": temporal_cuts_c}
 
 
 def temporal_cuts(
@@ -434,4 +453,4 @@ def temporal_cuts(
 
     ``best``/``cut``/``count`` are ``(N, T, T)`` slabs or one ``(T, T)`` table.
     """
-    _SWEEPS[resolve_kernel(kernel, n_slices=best.shape[-1])](best, cut, count, epsilon)
+    _SWEEPS[resolve_kernel(kernel)](best, cut, count, epsilon)

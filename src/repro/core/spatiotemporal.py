@@ -46,9 +46,10 @@ temporary — the base tables and merge of a node chunk, the
 :data:`repro.core.kernels.SWEEP_BATCH_BYTES` (the node axis is split into
 chunks that fit), so batching adds at most that budget to the memory of the
 tables themselves.  The sweep itself is pluggable (:mod:`repro.core.kernels`):
-the ``numpy`` tier, a cache-``blocked`` transpose-buffered tier and an
-optional compiled ``numba`` tier all evaluate the same recurrence and return
-bit-identical tables — selected via ``REPRO_KERNEL`` / ``--kernel``.
+the vectorized ``numpy`` tier and the compiled ``c`` tier (``sweep.c``, built
+on first use; the default when a C compiler is available) evaluate the same
+recurrence and return bit-identical tables — selected via ``REPRO_KERNEL`` /
+``--kernel``.
 
 Independent hierarchy subtrees only interact at their common ancestors, so
 the per-subtree table computations are embarrassingly parallel; passing
@@ -289,9 +290,9 @@ class SpatiotemporalAggregator:
         ``1`` keep the computation serial.  Parallel and serial runs return
         identical tables.
     kernel:
-        DP sweep tier (see :mod:`repro.core.kernels`): ``"numpy"``,
-        ``"blocked"``, ``"numba"`` or ``None``/``"auto"`` for the process
-        default (``REPRO_KERNEL`` / auto-detection).  Every tier returns
+        DP sweep tier (see :mod:`repro.core.kernels`): ``"numpy"``, ``"c"``
+        or ``None``/``"auto"`` for the process default (``REPRO_KERNEL`` /
+        auto-detection: ``c`` when it builds, else ``numpy``).  Every tier returns
         bit-identical tables; the choice only affects speed.
 
     Notes
@@ -327,7 +328,7 @@ class SpatiotemporalAggregator:
         self._operator = self._stats.operator
         self._epsilon = self.EPSILON if epsilon is None else float(epsilon)
         self._jobs = jobs
-        self._kernel = resolve_kernel(kernel, n_slices=model.n_slices)
+        self._kernel = resolve_kernel(kernel)
 
     # ------------------------------------------------------------------ #
     # Accessors

@@ -90,6 +90,28 @@ class TestTables:
             stats.loss(root, 0, 20)
 
 
+class TestExtremaTables:
+    @pytest.mark.parametrize("operator", ["max", "min"])
+    def test_tables_equal_those_built_from_the_proportions_cube(
+        self, random_model, monkeypatch, operator
+    ):
+        # Each node's per-slice extrema divide only the node's rows of the
+        # durations cube; they must give the bytes of slicing the whole
+        # ``model.proportions`` cube, table by table.
+        fast = IntervalStatistics(random_model, operator)
+        fast_tables = {n.index: fast.tables(n) for n in random_model.hierarchy.iter_nodes()}
+
+        def from_cube(self, node):
+            props = self._model.proportions[node.leaf_start : node.leaf_end]
+            return props.max(axis=0), props.min(axis=0)
+
+        monkeypatch.setattr(IntervalStatistics, "_node_extrema", from_cube)
+        cube = IntervalStatistics(random_model, operator)
+        for node in random_model.hierarchy.iter_nodes():
+            for got, expected in zip(fast_tables[node.index], cube.tables(node)):
+                assert got.tobytes() == expected.tobytes(), node.name
+
+
 class TestMacroProportions:
     def test_macro_matches_eq1(self, figure3_model):
         """Eq. 1 on a known homogeneous region of the Figure 3 trace."""

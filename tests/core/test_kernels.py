@@ -1,0 +1,286 @@
+"""Selection, build, cache and load of the compiled ``c`` DP-sweep tier.
+
+The ``c`` tier compiles ``sweep.c`` on first use and loads it through
+``ctypes``.  These tests pin the behaviour around that step:
+
+* without a compiler, *auto* runs ``numpy`` and an explicit ``c`` request is
+  a :class:`KernelUnavailableError` (a clean CLI error, no traceback);
+* a truncated or garbage library in the cache is rebuilt, never loaded (a
+  truncated ELF would crash the loader);
+* a cache directory another user owns, or that is group- or world-writable,
+  is never loaded from;
+* concurrent first uses publish one loadable library.
+
+Build behaviour runs in fresh interpreters with ``XDG_CACHE_HOME`` pointing
+at a temporary directory, so every case starts from an empty process state
+and never touches the user's cache.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.cli import main
+from repro.core import kernels
+from repro.core.kernels import KernelUnavailableError
+from repro.core.spatiotemporal import SpatiotemporalAggregator
+
+ROOT = Path(__file__).resolve().parents[2]
+TRACE = ROOT / "tests" / "data" / "corpus" / "case_a.csv"
+
+needs_c = pytest.mark.skipif(
+    "c" not in kernels.available_kernels(), reason="no C compiler: the c tier is unavailable"
+)
+
+#: Prints what a fresh process sees of the c tier as one JSON line.
+_PROBE = """
+import json, numpy as np
+from repro.core import kernels
+tiers = kernels.available_kernels()
+result = {"tiers": list(tiers), "default": kernels.default_kernel()}
+if "c" in tiers:
+    best = np.triu(np.arange(36.0).reshape(6, 6) % 5)
+    tables = [best.copy(), np.zeros((6, 6), np.int32), np.ones((6, 6), np.int32)]
+    kernels.temporal_cuts_c(*tables, 1e-9)
+    result["pic"] = tables[0].tolist()
+print(json.dumps(result))
+"""
+
+
+def _env(cache_home: Path, **extra: str) -> dict:
+    env = {k: v for k, v in os.environ.items() if k != kernels.KERNEL_ENV}
+    env.update(
+        XDG_CACHE_HOME=str(cache_home),
+        PYTHONPATH=os.pathsep.join([str(ROOT / "src"), env.get("PYTHONPATH", "")]),
+        **extra,
+    )
+    return env
+
+
+def _probe(cache_home: Path, **extra: str) -> dict:
+    done = subprocess.run(
+        [sys.executable, "-c", _PROBE], env=_env(cache_home, **extra),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def _libraries(directory: Path) -> list[Path]:
+    return sorted(directory.glob("sweep-*.so"))
+
+
+def _intact(path: Path) -> bool:
+    return kernels._digest(path.read_bytes()) == path.stem.rsplit("-", 1)[-1]
+
+
+class TestSelection:
+    @needs_c
+    def test_auto_picks_c(self, monkeypatch):
+        monkeypatch.delenv(kernels.KERNEL_ENV, raising=False)
+        assert kernels.available_kernels() == ("numpy", "c")
+        assert kernels.default_kernel() == "c"
+        assert kernels.resolve_kernel("auto") == "c"
+
+    def test_unknown_kernel_is_an_error(self):
+        for name in ("blocked", "numba", "fortran"):
+            with pytest.raises(KernelUnavailableError, match="unknown kernel"):
+                kernels.resolve_kernel(name)
+
+    def test_without_a_compiler_auto_runs_numpy_and_c_is_an_error(
+        self, monkeypatch, random_model
+    ):
+        monkeypatch.setattr(kernels, "_compiler", lambda: None)
+        monkeypatch.setattr(kernels, "_C_SWEEPS", None)
+        monkeypatch.delenv(kernels.KERNEL_ENV, raising=False)
+        assert kernels.available_kernels() == ("numpy",)
+        assert kernels.default_kernel() == "numpy"
+        assert SpatiotemporalAggregator(random_model).kernel == "numpy"
+        with pytest.raises(KernelUnavailableError, match="no C compiler"):
+            kernels.resolve_kernel("c")
+        with pytest.raises(KernelUnavailableError, match="no C compiler"):
+            SpatiotemporalAggregator(random_model, kernel="c")
+        tables = (np.zeros((3, 3)), np.zeros((3, 3), np.int32), np.ones((3, 3), np.int32))
+        with pytest.raises(KernelUnavailableError):
+            kernels.temporal_cuts(*tables, 1e-9, kernel="c")
+        monkeypatch.setenv(kernels.KERNEL_ENV, "c")
+        with pytest.raises(KernelUnavailableError, match="no C compiler"):
+            kernels.default_kernel()
+
+    def test_without_a_compiler_the_cli_reports_an_explicit_c_request(
+        self, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(kernels, "_compiler", lambda: None)
+        monkeypatch.setattr(kernels, "_C_SWEEPS", None)
+        monkeypatch.setenv(kernels.KERNEL_ENV, "auto")
+        assert main(["analyze", str(TRACE), "--slices", "8", "--kernel", "c"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: kernel 'c' requested") and "Traceback" not in err
+        assert main(["analyze", str(TRACE), "--slices", "8", "--json"]) == 0
+
+    def test_no_compiler_on_path_falls_back_in_a_fresh_process(self, tmp_path):
+        result = _probe(tmp_path, PATH="")
+        assert result == {"tiers": ["numpy"], "default": "numpy"}
+        assert not _libraries(tmp_path / "repro")
+
+    @needs_c
+    def test_analyze_json_is_byte_identical_across_tiers_and_jobs(self, monkeypatch, capsys):
+        monkeypatch.setenv(kernels.KERNEL_ENV, "auto")
+        outputs = {}
+        for label, extra in (
+            ("numpy", ["--kernel", "numpy"]),
+            ("c", ["--kernel", "c"]),
+            ("c-jobs2", ["--kernel", "c", "--jobs", "2"]),
+        ):
+            assert main(["analyze", str(TRACE), "--slices", "20", "--json", *extra]) == 0
+            outputs[label] = capsys.readouterr().out
+        assert outputs["c"] == outputs["numpy"]
+        assert outputs["c-jobs2"] == outputs["numpy"]
+
+
+@needs_c
+@pytest.mark.parametrize(
+    "shapes",
+    [
+        ((2, 4, 4), (2, 4, 4), (1, 4, 4)),
+        ((4, 4), (4, 5), (4, 4)),
+        ((2, 3, 4),) * 3,
+        ((2, 2, 4, 4),) * 3,
+    ],
+)
+def test_c_rejects_tables_that_are_not_one_slab_shape(shapes):
+    # The native loop indexes all three tables as (N, T, T): any other
+    # layout would read or write out of bounds, so it never gets there.
+    best, cut, count = (
+        np.zeros(shape, dtype=dtype)
+        for shape, dtype in zip(shapes, (np.float64, np.int32, np.int32))
+    )
+    with pytest.raises(ValueError, match="one shape"):
+        kernels.temporal_cuts_c(best, cut, count, 1e-9)
+
+
+@needs_c
+@pytest.mark.parametrize("frozen", [0, 1, 2])
+def test_c_rejects_read_only_tables(frozen):
+    # A read-only C-contiguous table would be handed to the native loop as is.
+    tables = [np.zeros((2, 4, 4)), np.zeros((2, 4, 4), np.int32), np.ones((2, 4, 4), np.int32)]
+    tables[frozen].flags.writeable = False
+    with pytest.raises(ValueError, match="writeable"):
+        kernels.temporal_cuts_c(*tables, 1e-9)
+
+
+@needs_c
+class TestBuildAndCache:
+    def test_first_use_builds_one_private_library(self, tmp_path):
+        result = _probe(tmp_path)
+        assert result["tiers"] == ["numpy", "c"] and result["default"] == "c"
+        cache = tmp_path / "repro"
+        (library,) = _libraries(cache)
+        assert _intact(library)
+        assert not cache.stat().st_mode & 0o077
+        assert not library.stat().st_mode & 0o022
+        assert not list(cache.glob(".sweep-*"))  # no temporary left behind
+        # A second process loads the published library instead of rebuilding.
+        before = library.stat()
+        assert _probe(tmp_path) == result
+        after = library.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+    @pytest.mark.parametrize("damage", ["truncated", "garbage", "empty"])
+    def test_damaged_library_is_rebuilt_not_loaded(self, tmp_path, damage):
+        reference = _probe(tmp_path)
+        (library,) = _libraries(tmp_path / "repro")
+        data = library.read_bytes()
+        # Replaced, never rewritten in place: nothing maps the old file then.
+        library.unlink()
+        library.write_bytes(
+            {"truncated": data[: len(data) // 2], "garbage": os.urandom(len(data)), "empty": b""}[
+                damage
+            ]
+        )
+        os.chmod(library, 0o755)
+        assert _probe(tmp_path) == reference
+        assert all(_intact(path) for path in _libraries(tmp_path / "repro"))
+
+    def test_unusable_cache_location_builds_in_a_private_temporary(self, tmp_path):
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("")
+        result = _probe(not_a_dir)
+        assert result["default"] == "c"
+        assert not_a_dir.read_text() == ""
+
+    @pytest.mark.parametrize(
+        "unsafe", ["group-writable", "world-writable", "foreign-owner", "library-writable"]
+    )
+    def test_unsafe_cache_is_never_loaded_from(self, tmp_path, unsafe):
+        compiler = kernels._compiler()
+        cache = tmp_path / "repro"
+        cache.mkdir(mode=0o700)
+        # A planted library under the very name the cache would look up,
+        # announcing through a marker file whether it was ever loaded.
+        source = kernels._C_SOURCE.read_bytes() + (
+            b"\n#include <stdio.h>\n#include <stdlib.h>\n"
+            b"__attribute__((constructor)) static void planted(void) {\n"
+            b'    FILE *f = fopen(getenv("PLANTED_MARKER"), "w"); if (f) fclose(f);\n}\n'
+        )
+        built = tmp_path / "planted.so"
+        subprocess.run(
+            [compiler, *kernels.C_FLAGS, "-x", "c", "-", "-o", str(built)],
+            input=source, check=True, timeout=300,
+        )
+        key = kernels._library_key(compiler, kernels._C_SOURCE.read_bytes())
+        planted = cache / f"sweep-{key}-{kernels._digest(built.read_bytes())}.so"
+        shutil.copyfile(built, planted)
+        os.chmod(planted, 0o755)
+        marker = tmp_path / "loaded"
+
+        # Control: in a private cache the planted library is found and loaded.
+        result = _probe(tmp_path, PLANTED_MARKER=str(marker))
+        assert marker.exists() and result["default"] == "c"
+        marker.unlink()
+
+        if unsafe == "group-writable":
+            os.chmod(cache, 0o770)
+        elif unsafe == "world-writable":
+            os.chmod(cache, 0o707)
+        elif unsafe == "library-writable":
+            os.chmod(planted, 0o777)
+        else:
+            if os.geteuid() != 0:
+                pytest.skip("giving the cache to another user needs root")
+            os.chown(cache, 65534, 65534)
+            os.chown(planted, 65534, 65534)
+        listing = sorted(path.name for path in cache.iterdir())
+        unsafe_result = _probe(tmp_path, PLANTED_MARKER=str(marker))
+        assert not marker.exists()
+        assert unsafe_result == result  # the tier still works, built privately
+        if unsafe != "library-writable":
+            assert sorted(path.name for path in cache.iterdir()) == listing
+
+    def test_concurrent_first_uses_publish_one_library(self, tmp_path):
+        processes = [
+            subprocess.Popen(
+                [sys.executable, "-c", _PROBE], env=_env(tmp_path),
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            )
+            for _ in range(2)
+        ]
+        results = []
+        for process in processes:
+            out, err = process.communicate(timeout=300)
+            assert process.returncode == 0, err
+            results.append(json.loads(out))
+        assert results[0] == results[1] and results[0]["default"] == "c"
+        cache = tmp_path / "repro"
+        (library,) = _libraries(cache)
+        assert _intact(library)
+        assert not list(cache.glob(".sweep-*"))
+        assert _probe(tmp_path) == results[0]

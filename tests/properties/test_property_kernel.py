@@ -4,8 +4,10 @@ The contract behind ``repro … --kernel``: every kernel tier of
 :mod:`repro.core.kernels` computes the *same* Algorithm 1 recurrence
 **bit-for-bit** — no tolerances — for every registered operator, from the
 raw sweep level (random upper-triangular tables) up through tables,
-partitions and serialized analysis payloads.  On machines with numba the
-compiled tier joins the differential automatically.
+partitions and serialized analysis payloads.  Wherever a C compiler builds
+the compiled ``c`` tier, it joins every differential automatically; its raw
+sweep is also diffed on NaN and ±inf cells (as int64 bit patterns), int32 and
+int64 counts and non-contiguous slabs.
 
 The height-batched sweep — one kernel call over the ``(N, T, T)`` slab of
 every node of one hierarchy height — is checked against the per-cell
@@ -38,10 +40,8 @@ from repro.core.hierarchy import Hierarchy, HierarchyNode
 from repro.core.kernels import (
     available_kernels,
     temporal_cuts,
-    temporal_cuts_blocked,
-    temporal_cuts_numba,
+    temporal_cuts_c,
     temporal_cuts_numpy,
-    numba_available,
 )
 from repro.core.microscopic import MicroscopicModel, MicroscopicModelError
 from repro.core.partition import Partition
@@ -65,9 +65,10 @@ _SETTINGS = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-#: Every tier runnable here; on numba-less machines that is numpy + blocked,
-#: with numba the compiled tier joins the same differential.
+#: Every tier runnable here: numpy, and the compiled c tier wherever it builds.
 TIERS = available_kernels()
+
+needs_c = pytest.mark.skipif("c" not in TIERS, reason="no C compiler: the c tier is unavailable")
 
 
 def model_strategy(max_resources: int = 8, max_slices: int = 10, max_states: int = 3):
@@ -129,32 +130,100 @@ def _run_sweep(sweep, best, count, epsilon, **kwargs):
     return b, cut, c
 
 
+def special_sweep_inputs(max_size: int = 10):
+    """Sweep inputs with NaN, ±inf and quantized (tied) cells, int32 or int64 counts."""
+
+    @st.composite
+    def build(draw):
+        best, counts = draw(sweep_inputs(max_size))
+        n = best.shape[0]
+        # None keeps the drawn value; the others overwrite it.
+        specials = draw(
+            st.lists(
+                st.sampled_from([np.nan, np.inf, -np.inf, 0.0, 0.5, -1.0, None]),
+                min_size=n * n, max_size=n * n,
+            )
+        )
+        for cell, value in enumerate(specials):
+            if value is not None:
+                best[divmod(cell, n)] = value
+        dtype = draw(st.sampled_from([np.int32, np.int64]))
+        return np.triu(best), counts.astype(dtype)
+
+    return build()
+
+
+def _bits(tables):
+    """Tables as comparable integers (float cells as their int64 bit patterns)."""
+    return [
+        (table.dtype.str, np.ascontiguousarray(table).view(np.int64).tolist())
+        if table.dtype == np.float64
+        else (table.dtype.str, table.tolist())
+        for table in tables
+    ]
+
+
 class TestRawSweepDifferential:
     """The sweep level: identical tables from identical inputs, no tolerances."""
 
+    @needs_c
+    @_SETTINGS
+    @given(data=sweep_inputs(), epsilon=st.sampled_from([0.0, 1e-9, 1e-6, 1e-3]))
+    def test_c_matches_numpy(self, data, epsilon):
+        best, count = data
+        reference = _run_sweep(temporal_cuts_numpy, best, count, epsilon)
+        compiled = _run_sweep(temporal_cuts_c, best, count, epsilon)
+        assert _bits(compiled) == _bits(reference)
+
+    @needs_c
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=special_sweep_inputs(), epsilon=st.sampled_from([0.0, 1e-9, 1e-3]))
+    def test_c_matches_numpy_bits_on_nan_inf_and_ties(self, data, epsilon):
+        best, count = data
+        cut = np.zeros(best.shape, dtype=count.dtype)
+        reference = [best.copy(), cut.copy(), count.copy()]
+        compiled = [best.copy(), cut.copy(), count.copy()]
+        with np.errstate(invalid="ignore"):
+            temporal_cuts_numpy(*reference, epsilon)
+        temporal_cuts_c(*compiled, epsilon)
+        assert _bits(compiled) == _bits(reference)
+
+    @needs_c
     @_SETTINGS
     @given(
-        data=sweep_inputs(),
-        epsilon=st.sampled_from([1e-9, 1e-6, 1e-3]),
-        block=st.integers(min_value=1, max_value=5),
+        tables=st.lists(sweep_inputs(max_size=8), min_size=2, max_size=3),
+        layout=st.sampled_from(["fortran", "strided", "transposed-nodes"]),
+        cut_dtype=st.sampled_from([np.int16, np.int32, np.int64]),
+        count_dtype=st.sampled_from([np.int16, np.int32, np.int64]),
     )
-    def test_blocked_matches_numpy_at_any_block_height(self, data, epsilon, block):
-        best, count = data
-        reference = _run_sweep(temporal_cuts_numpy, best, count, epsilon)
-        blocked = _run_sweep(temporal_cuts_blocked, best, count, epsilon, block=block)
-        for ref, got in zip(reference, blocked):
-            assert np.array_equal(ref, got)
+    def test_c_on_non_contiguous_slabs_and_other_dtypes(
+        self, tables, layout, cut_dtype, count_dtype
+    ):
+        # Views that are not C-contiguous are copied in and back; int16
+        # counts run the numpy tier.  Either way the caller's arrays end up
+        # with the numpy tier's bits.
+        size = min(b.shape[0] for b, _ in tables)
+        best = np.stack([b[:size, :size] for b, _ in tables])
+        count = np.stack([c[:size, :size] for _, c in tables]).astype(count_dtype)
+        cut = np.zeros(best.shape, dtype=cut_dtype)
+        reference = [best.copy(), cut.copy(), count.copy()]
+        temporal_cuts_numpy(*reference, 1e-9)
 
-    @_SETTINGS
-    @given(data=sweep_inputs(), epsilon=st.sampled_from([1e-9, 1e-6]))
-    def test_numba_matches_numpy_when_available(self, data, epsilon):
-        if not numba_available():
-            return  # covered by the CI leg that installs numba
-        best, count = data
-        reference = _run_sweep(temporal_cuts_numpy, best, count, epsilon)
-        compiled = _run_sweep(temporal_cuts_numba, best, count, epsilon)
-        for ref, got in zip(reference, compiled):
-            assert np.array_equal(ref, got)
+        def lay_out(table):
+            if layout == "fortran":
+                return np.asfortranarray(table)
+            if layout == "strided":
+                wide = np.zeros(table.shape[:-1] + (2 * size,), dtype=table.dtype)
+                view = wide[..., ::2]
+                view[...] = table
+                return view
+            nodes_last = np.ascontiguousarray(np.moveaxis(table, 0, -1))
+            return np.moveaxis(nodes_last, -1, 0)
+
+        compiled = [lay_out(table) for table in (best, cut, count)]
+        assert not any(table.flags.c_contiguous for table in compiled)
+        temporal_cuts_c(*compiled, 1e-9)
+        assert _bits(compiled) == _bits(reference)
 
 
 class TestKernelTiersEndToEnd:
