@@ -100,7 +100,7 @@ def bench_cell(
     )
     intervals = list(trace.intervals)
     split = int(len(intervals) * (1.0 - TAIL_FRACTION))
-    base_trace = Trace.from_sorted_intervals(
+    base_trace = Trace(
         intervals[:split], trace.hierarchy, trace.states.copy(), trace.metadata
     )
     store_path = workdir / f"r{n_resources}_t{gen_slices}.rtz"

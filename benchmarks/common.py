@@ -6,6 +6,8 @@ hardware, absolute times are not).  The timing loop and the gate logic used
 to be copy-pasted per script; they live here now:
 
 * :func:`time_call` / :func:`timed_call` — best-of-N wall-clock;
+  :func:`timed_per_call` — best-of-N per-call seconds over samples of at
+  least 20 ms, for legs too short to time one call at a time;
 * :class:`GateMetric` + :func:`check_ratio_regression` — compare each grid
   cell's ratio fields against a committed baseline file, with an optional
   per-metric absolute floor and an activity switch (e.g. pool-scaling gates
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import datetime
 import json
+import math
 import os
 import platform
 import subprocess
@@ -73,6 +76,31 @@ def timed_call(func: Callable[[], object], repeats: int) -> "tuple[float, object
         start = time.perf_counter()
         result = func()
         best = min(best, time.perf_counter() - start)
+    return best, result
+
+
+#: Shortest sample :func:`timed_per_call` times, in seconds.
+_MIN_SAMPLE_SECONDS = 0.02
+
+
+def timed_per_call(func: Callable[[], object], repeats: int) -> "tuple[float, object]":
+    """Best-of-``repeats`` seconds per call of ``func()``, and its last result.
+
+    Each sample times as many back-to-back calls as the first (untimed)
+    call says last ``_MIN_SAMPLE_SECONDS``, and divides by that count: a leg
+    of a millisecond or two is then read over tens of milliseconds, where
+    one timer tick or scheduler hiccup no longer moves it by half.
+    """
+    start = time.perf_counter()
+    result = func()
+    elapsed = max(time.perf_counter() - start, 1e-9)
+    calls = max(1, math.ceil(_MIN_SAMPLE_SECONDS / elapsed))
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for _ in range(calls):
+            result = func()
+        best = min(best, (time.perf_counter() - start) / calls)
     return best, result
 
 

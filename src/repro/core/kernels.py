@@ -37,7 +37,9 @@ coarsest-partition tie-break — and are **bit-identical by construction**
     user and writable by no one else; when the cache directory is unusable
     the library is built in a fresh private temporary directory instead.
     Builds publish atomically (temporary file + ``os.replace``), so
-    concurrent processes race safely.  Loaded through :mod:`ctypes`, once
+    concurrent processes race safely.  Each load marks the library as used
+    (its access time) and deletes all but the :data:`CACHE_KEEP` most
+    recently used ones of this user.  Loaded through :mod:`ctypes`, once
     per process; the call releases the GIL.
 
 Selection: the ``REPRO_KERNEL`` environment variable (``numpy`` | ``c`` |
@@ -58,6 +60,7 @@ import stat
 import subprocess
 import tempfile
 import threading
+import time
 from pathlib import Path
 from typing import Callable, Dict
 
@@ -127,6 +130,10 @@ def numba_available() -> bool:
 # --------------------------------------------------------------------------- #
 # c tier — build, cache and load
 # --------------------------------------------------------------------------- #
+#: How many ``c`` libraries the cache keeps: the most recently used ones.
+#: Every change of ``sweep.c``, :data:`C_FLAGS` or the compiler adds one.
+CACHE_KEEP = 4
+
 #: The ``c`` tier's sweep functions, keyed by the dtype of ``count``.
 _Sweeps = Dict[np.dtype, Callable[..., None]]
 
@@ -193,8 +200,8 @@ def _open(path: Path) -> "_Sweeps | None":
     return sweeps
 
 
-def _build(compiler: str, source: bytes, key: str, directory: Path) -> "_Sweeps | str":
-    """Compile ``source`` into ``directory`` and load it; the sweeps or an error text."""
+def _build(compiler: str, source: bytes, key: str, directory: Path) -> "Path | str":
+    """Compile ``source`` into ``directory``; the library's path or an error text."""
     fd, tmp = tempfile.mkstemp(prefix=".sweep-", suffix=".so", dir=directory)
     os.close(fd)
     try:
@@ -211,7 +218,42 @@ def _build(compiler: str, source: bytes, key: str, directory: Path) -> "_Sweeps 
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-    return _open(path) or f"the built library {path} could not be loaded"
+    return path
+
+
+def _open_built(built: "Path | str") -> "_Sweeps | str":
+    """Load what :func:`_build` returned; the sweeps or an error text."""
+    if isinstance(built, str):
+        return built
+    return _open(built) or f"the built library {built} could not be loaded"
+
+
+def _prune(cache: Path, loaded: Path) -> None:
+    """Mark ``loaded`` as just used; delete all but the newest-used libraries.
+
+    A load sets the library's access time (its modification time stays the
+    build's).  The :data:`CACHE_KEEP` most recently used libraries survive,
+    whatever their key, so checkouts of different versions sharing one
+    cache do not rebuild each other's library.  Only regular files owned by
+    this user are deleted, and never ``loaded``.
+    """
+    try:
+        os.utime(loaded, ns=(time.time_ns(), os.lstat(loaded).st_mtime_ns))
+    except OSError:
+        return
+    used = []
+    for path in cache.glob("sweep-*.so"):
+        try:
+            info = os.lstat(path)
+        except OSError:
+            continue
+        if path != loaded and stat.S_ISREG(info.st_mode) and info.st_uid == os.getuid():
+            used.append((info.st_atime_ns, path))
+    for _, path in sorted(used, reverse=True)[CACHE_KEEP - 1 :]:
+        try:
+            path.unlink()
+        except OSError:
+            pass
 
 
 def _load_c_sweeps() -> "_Sweeps | str":
@@ -233,12 +275,17 @@ def _load_c_sweeps() -> "_Sweeps | str":
             for path in sorted(cache.glob(f"sweep-{key}-*.so")):
                 sweeps = _open(path)
                 if sweeps is not None:
+                    _prune(cache, path)
                     return sweeps
             if os.access(cache, os.W_OK):
-                return _build(compiler, source, key, cache)
+                built = _build(compiler, source, key, cache)
+                sweeps = _open_built(built)
+                if isinstance(sweeps, dict):
+                    _prune(cache, built)
+                return sweeps
         # No usable cache: build in a private directory, removed once loaded.
         with tempfile.TemporaryDirectory(prefix="repro-sweep-") as private:
-            return _build(compiler, source, key, Path(private))
+            return _open_built(_build(compiler, source, key, Path(private)))
     except (OSError, subprocess.SubprocessError) as exc:
         return f"building {_C_SOURCE.name} failed: {exc}"
 

@@ -163,7 +163,7 @@ class MemorySource:
 
     @property
     def digest(self) -> str:
-        """Content digest, computed once from the parsed intervals."""
+        """Content digest, computed once from the trace's columns."""
         return self._digest
 
     @property
@@ -177,8 +177,17 @@ class MemorySource:
         return int(self._trace.n_intervals)
 
     def model(self, slices: int) -> MicroscopicModel:
-        """Discretize the trace at ``slices`` regular slices."""
-        return MicroscopicModel.from_trace(self._trace, n_slices=slices)
+        """Discretize the trace's columns at ``slices`` regular slices."""
+        columns = self._trace.columns()
+        return MicroscopicModel.from_columns(
+            columns.starts,
+            columns.ends,
+            columns.resource_ids,
+            columns.state_ids,
+            self._trace.hierarchy,
+            self._trace.states.copy(),
+            n_slices=slices,
+        )
 
     def load_trace(self) -> Trace:
         """The wrapped trace itself."""

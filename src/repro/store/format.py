@@ -29,11 +29,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 import numpy as np
 
+from ..trace.columns import TraceColumns
 from ..trace.io import TraceIOError
 from ..trace.trace import Trace
 
@@ -80,71 +80,6 @@ class StoreRewrittenError(StoreError):
     """Raised by :meth:`~repro.store.TraceStore.refresh` when the store on
     disk is no longer an append-only continuation of the opened one (e.g. a
     full re-convert replaced it); the caller must reopen from scratch."""
-
-
-@dataclass(frozen=True)
-class TraceColumns:
-    """The columnar representation of a trace's intervals.
-
-    Rows are in the canonical trace order (sorted by ``(start, end)``), the
-    order :class:`repro.trace.Trace` maintains internally, so round-trips
-    through the store preserve interval order exactly.
-    """
-
-    starts: np.ndarray
-    ends: np.ndarray
-    resource_ids: np.ndarray
-    state_ids: np.ndarray
-
-    def __post_init__(self) -> None:
-        n = self.starts.size
-        if not (self.ends.size == self.resource_ids.size == self.state_ids.size == n):
-            raise StoreError("trace columns must have the same length")
-
-    @property
-    def n_rows(self) -> int:
-        """Number of state intervals."""
-        return int(self.starts.size)
-
-    @classmethod
-    def from_trace(cls, trace: Trace) -> "TraceColumns":
-        """Encode a trace's intervals against its own hierarchy and registry."""
-        n = trace.n_intervals
-        starts = np.empty(n, dtype="<f8")
-        ends = np.empty(n, dtype="<f8")
-        resource_ids = np.empty(n, dtype="<i4")
-        state_ids = np.empty(n, dtype="<i4")
-        leaf_index = {name: i for i, name in enumerate(trace.hierarchy.leaf_names)}
-        state_index = {name: i for i, name in enumerate(trace.states.names)}
-        for row, interval in enumerate(trace.intervals):
-            starts[row] = interval.start
-            ends[row] = interval.end
-            resource_ids[row] = leaf_index[interval.resource]
-            state_ids[row] = state_index[interval.state]
-        return cls(starts, ends, resource_ids, state_ids)
-
-    def slice(self, start: int, stop: int) -> "TraceColumns":
-        """Row slice ``[start, stop)`` (used to write chunk files)."""
-        return TraceColumns(
-            self.starts[start:stop],
-            self.ends[start:stop],
-            self.resource_ids[start:stop],
-            self.state_ids[start:stop],
-        )
-
-    @classmethod
-    def concatenate(cls, parts: Sequence["TraceColumns"]) -> "TraceColumns":
-        """Reassemble chunked columns in chunk order."""
-        if not parts:
-            empty_f = np.empty(0, dtype="<f8")
-            empty_i = np.empty(0, dtype="<i4")
-            return cls(empty_f, empty_f.copy(), empty_i, empty_i.copy())
-        return cls(
-            np.concatenate([p.starts for p in parts]),
-            np.concatenate([p.ends for p in parts]),
-            np.concatenate([p.resource_ids for p in parts]),
-            np.concatenate([p.state_ids for p in parts]),
-        )
 
 
 def _canonical_json(value: Any) -> bytes:
@@ -244,7 +179,7 @@ def trace_digest(trace: Trace) -> str:
     (CSV) and served (store) runs of the same content share entries.
     """
     return columns_digest(
-        TraceColumns.from_trace(trace),
+        trace.columns(),
         [leaf.path for leaf in trace.hierarchy.leaves],
         trace.states.names,
         trace.metadata,

@@ -21,7 +21,6 @@ import numpy as np
 
 from ..core.microscopic import MicroscopicModel
 from ..core.hierarchy import Hierarchy
-from ..trace.events import StateInterval
 from ..trace.states import StateRegistry
 from ..trace.trace import Trace
 from .modelcache import ModelHandle, load_model_cache, write_model_cache
@@ -356,25 +355,16 @@ class TraceStore:
         return columns.slice(old_rows, columns.n_rows)
 
     def load_trace(self) -> Trace:
-        """Materialize the full :class:`~repro.trace.Trace`.
+        """The store's :class:`~repro.trace.Trace`, backed by :meth:`columns`.
 
-        Only needed for interval-level work (re-serialization, filtering);
-        the analysis path goes straight from :meth:`columns` to
-        :meth:`model` without per-interval Python objects.
+        Interval objects are created only if the caller reads
+        ``intervals`` (re-serialization, filtering); the analysis path goes
+        straight from :meth:`columns` to :meth:`model`.
         """
-        if self._trace is not None:
-            return self._trace
-        columns = self.columns()
-        leaf_names = self._hierarchy.leaf_names
-        state_names = self._states.names
-        resources = [leaf_names[i] for i in columns.resource_ids.tolist()]
-        states = [state_names[i] for i in columns.state_ids.tolist()]
-        intervals = list(
-            map(StateInterval, columns.starts.tolist(), columns.ends.tolist(), resources, states)
-        )
-        self._trace = Trace.from_sorted_intervals(
-            intervals, self._hierarchy, self._states.copy(), self.metadata
-        )
+        if self._trace is None:
+            self._trace = Trace.from_columns(
+                self.columns(), self._hierarchy, self._states.copy(), self.metadata
+            )
         return self._trace
 
     # ------------------------------------------------------------------ #
@@ -511,7 +501,7 @@ def save_store(
         if any(target.iterdir()) and not is_store(target):
             raise StoreError(f"{target}: refusing to overwrite a non-store directory")
         shutil.rmtree(target)
-    columns = TraceColumns.from_trace(trace)
+    columns = trace.columns()
     leaf_paths = [leaf.path for leaf in trace.hierarchy.leaves]
     digest = columns_digest(columns, leaf_paths, trace.states.names, trace.metadata)
 

@@ -124,7 +124,7 @@ def sync_store(
         store = save_store(trace, path, chunk_rows=chunk_rows)
         return SyncResult("created", store.n_intervals, store.n_intervals, store.generation)
 
-    columns = TraceColumns.from_trace(trace)
+    columns = trace.columns()
     if writer is not None and writer.path != Path(os.fspath(path)):
         writer = None
     store_view = writer.store if writer is not None else open_store(path)

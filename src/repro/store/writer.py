@@ -183,12 +183,15 @@ class StoreWriter:
         if ends is None and isinstance(starts, TraceColumns):
             columns = starts
         else:
-            columns = TraceColumns(
+            arrays = (
                 np.ascontiguousarray(starts, dtype="<f8"),
                 np.ascontiguousarray(ends, dtype="<f8"),
                 np.ascontiguousarray(resource_ids, dtype="<i4"),
                 np.ascontiguousarray(state_ids, dtype="<i4"),
             )
+            if len({array.size for array in arrays}) != 1:
+                raise StoreError("append batch columns must have the same length")
+            columns = TraceColumns(*arrays)
         if columns.n_rows == 0:
             return self.generation
         self._validate_batch(columns)

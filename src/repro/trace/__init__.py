@@ -1,6 +1,7 @@
 """Trace substrate: events, state intervals, trace containers, I/O, generators."""
 
 from .builder import TraceBuilder, TraceBuildError, intervals_from_events
+from .columns import TraceColumns
 from .events import ENTER, LEAVE, POINT, Event, EventError, StateInterval
 from .io import (
     TraceIOError,
@@ -38,6 +39,7 @@ __all__ = [
     "MPI_STATES",
     "mpi_state_registry",
     "Trace",
+    "TraceColumns",
     "TraceError",
     "TraceStatistics",
     "TraceBuilder",

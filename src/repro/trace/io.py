@@ -17,13 +17,17 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import os
 from pathlib import Path
 from typing import Any, Iterator
 
+import numpy as np
+
 from ..core.hierarchy import Hierarchy, HierarchyError
 from .builder import TraceBuilder
+from .columns import TraceColumns
 from .events import EventError, StateInterval
 from .states import StateRegistry
 from .trace import Trace, TraceError
@@ -42,6 +46,10 @@ __all__ = [
 ]
 
 CSV_HEADER = ("resource_path", "state", "start", "end")
+#: Rows :func:`parse_csv` reads and encodes at a time.  The row lists of one
+#: block are dropped before the next is read, which bounds the parser's
+#: Python-object memory whatever the file size.
+_CSV_BLOCK_ROWS = 4096
 
 
 class TraceIOError(ValueError):
@@ -151,55 +159,177 @@ def parse_csv(
     :func:`read_csv` so tailing callers (``repro stream`` / ``repro watch``)
     can feed the newline-terminated prefix of a file that is still being
     written — see :func:`repro.store.read_live_source`.
+
+    Rows are read in blocks and turned into :class:`TraceColumns` without
+    per-interval objects: the result is the trace ``Trace(intervals)`` would
+    build from one :class:`StateInterval` per row — same row order, state
+    ids and error messages (the first bad row's, with its line number).
     """
-    intervals: list[StateInterval] = []
-    leaf_paths: list[tuple[str, ...]] = []
-    seen: set[tuple[str, ...]] = set()
     reader = csv.reader(handle)
-    line_number = 1
     try:
         header = next(reader, None)
-        if header is None or tuple(header) != CSV_HEADER:
-            raise TraceIOError(f"{source}: missing or invalid CSV header: {header!r}")
-        for line_number, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise TraceIOError(
-                    f"{source}:{line_number}: expected 4 columns, got {len(row)}"
-                )
-            resource_path, state, start_text, end_text = row
-            parts = tuple(p for p in resource_path.split("/") if p)
-            if not parts:
-                raise TraceIOError(f"{source}:{line_number}: empty resource path")
-            try:
-                start = float(start_text)
-                end = float(end_text)
-            except ValueError as exc:
-                raise TraceIOError(f"{source}:{line_number}: invalid timestamps") from exc
-            if parts not in seen:
-                seen.add(parts)
-                leaf_paths.append(parts)
-            try:
-                interval = StateInterval(
-                    start=start, end=end, resource=parts[-1], state=state
-                )
-            except EventError as exc:
-                # Reversed or non-finite interval bounds, empty state name.
-                raise TraceIOError(
-                    f"{source}:{line_number}: invalid interval: {exc}"
-                ) from exc
-            intervals.append(interval)
     except csv.Error as exc:
-        # Malformed CSV structure (NUL bytes, unterminated quotes, ...).
-        raise TraceIOError(
-            f"{source}:{max(reader.line_num, line_number)}: malformed CSV: {exc}"
-        ) from exc
+        raise TraceIOError(f"{source}:{max(reader.line_num, 1)}: malformed CSV: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise TraceIOError(f"{source}: not valid UTF-8 text: {exc}") from exc
-    if hierarchy is None:
-        hierarchy = _build_hierarchy(source, leaf_paths)
-    return _build_trace(source, intervals, hierarchy, states)
+    if header is None or tuple(header) != CSV_HEADER:
+        raise TraceIOError(f"{source}: missing or invalid CSV header: {header!r}")
+    blocks = _CsvBlocks(source)
+    while True:
+        rows: list[list[str]] = []
+        try:
+            # ``extend`` keeps the rows read before an error, so the rows
+            # ahead of a malformed record are checked before it is reported.
+            rows.extend(itertools.islice(reader, _CSV_BLOCK_ROWS))
+        except csv.Error as exc:
+            blocks.add(rows)
+            raise TraceIOError(
+                f"{source}:{max(reader.line_num, blocks.line_number)}: malformed CSV: {exc}"
+            ) from exc
+        except UnicodeDecodeError as exc:
+            blocks.add(rows)
+            raise TraceIOError(f"{source}: not valid UTF-8 text: {exc}") from exc
+        blocks.add(rows)
+        if len(rows) < _CSV_BLOCK_ROWS:
+            return blocks.trace(hierarchy, states)
+
+
+def _floats(texts: "tuple[str, ...]") -> "tuple[np.ndarray, np.ndarray | None]":
+    """``float(text)`` of every text as ``<f8``, and the mask of unparsable ones."""
+    try:
+        return np.fromiter(map(float, texts), dtype="<f8", count=len(texts)), None
+    except ValueError:
+        pass
+    values = np.zeros(len(texts), dtype="<f8")
+    bad = np.zeros(len(texts), dtype=bool)
+    for index, text in enumerate(texts):
+        try:
+            values[index] = float(text)
+        except ValueError:
+            bad[index] = True
+    return values, bad
+
+
+def _raise_row_error(source: Path, line_number: int, row: "list[str]") -> None:
+    """Raise the error of a row the block checks flagged (checks in row order)."""
+    resource_path, state, start_text, end_text = row
+    parts = tuple(p for p in resource_path.split("/") if p)
+    if not parts:
+        raise TraceIOError(f"{source}:{line_number}: empty resource path")
+    try:
+        start = float(start_text)
+        end = float(end_text)
+    except ValueError as exc:
+        raise TraceIOError(f"{source}:{line_number}: invalid timestamps") from exc
+    try:
+        StateInterval(start=start, end=end, resource=parts[-1], state=state)
+    except EventError as exc:
+        # Reversed or non-finite interval bounds, empty state name.
+        raise TraceIOError(f"{source}:{line_number}: invalid interval: {exc}") from exc
+    raise AssertionError(f"{source}:{line_number}: row flagged but valid: {row!r}")
+
+
+class _CsvBlocks:
+    """Checked, dictionary-encoded CSV row blocks, assembled into a trace.
+
+    Paths and states are coded in order of first appearance.  Every row
+    check (width, empty path, timestamps, bounds, empty state) runs as one
+    vector test per block; the first flagged row is re-checked alone for
+    its message.
+    """
+
+    def __init__(self, source: Path):
+        self._source = source
+        #: Line number of the last row read (the header is line 1).
+        self.line_number = 1
+        self._path_codes: dict[str, int] = {}
+        self._state_codes: dict[str, int] = {}
+        #: Path parts, by path code.
+        self._parts: list[tuple[str, ...]] = []
+        self._blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+
+    @staticmethod
+    def _encode(values: "tuple[str, ...]", codes: "dict[str, int]") -> "tuple[np.ndarray, list[str]]":
+        """The code of every value, and the values seen for the first time."""
+        new = [value for value in dict.fromkeys(values) if value not in codes]
+        for value in new:
+            codes[value] = len(codes)
+        return np.fromiter(map(codes.__getitem__, values), dtype=np.int32, count=len(values)), new
+
+    def add(self, rows: "list[list[str]]") -> None:
+        """Check and encode one block of rows (blank rows are skipped)."""
+        first_line = self.line_number + 1
+        self.line_number += len(rows)
+        widths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+        bad_width = np.flatnonzero((widths != 4) & (widths != 0))
+        limit = int(bad_width[0]) if bad_width.size else len(rows)
+        kept = np.flatnonzero(widths[:limit])
+        block = rows[:limit] if kept.size == limit else [rows[i] for i in kept.tolist()]
+        if block:
+            path_texts, state_texts, start_texts, end_texts = zip(*block)
+            paths, new_paths = self._encode(path_texts, self._path_codes)
+            self._parts.extend(tuple(p for p in path.split("/") if p) for path in new_paths)
+            states, _ = self._encode(state_texts, self._state_codes)
+            starts, bad_starts = _floats(start_texts)
+            ends, bad_ends = _floats(end_texts)
+            flagged = ~(np.isfinite(starts) & np.isfinite(ends)) | (ends < starts)
+            flagged |= np.array([not parts for parts in self._parts])[paths]
+            if "" in self._state_codes:
+                flagged |= states == self._state_codes[""]
+            for bad in (bad_starts, bad_ends):
+                if bad is not None:
+                    flagged |= bad
+            if flagged.any():
+                index = int(flagged.argmax())
+                _raise_row_error(self._source, first_line + int(kept[index]), block[index])
+            self._blocks.append((starts, ends, paths, states))
+        if bad_width.size:
+            raise TraceIOError(
+                f"{self._source}:{first_line + limit}: expected 4 columns, got {widths[limit]}"
+            )
+
+    def trace(self, hierarchy: "Hierarchy | None", states: "StateRegistry | None") -> Trace:
+        """The trace of every row added, in ``StateInterval`` order.
+
+        Rows sort by (start, end, leaf name, state name) with one stable
+        ``lexsort``; state ids follow the first appearance of each state in
+        sorted order, after any states ``states`` already registers.
+        """
+        if hierarchy is None:
+            hierarchy = _build_hierarchy(self._source, list(dict.fromkeys(self._parts)))
+        if self._blocks:
+            starts, ends, paths, codes = map(np.concatenate, zip(*self._blocks))
+        else:
+            starts = ends = np.empty(0, dtype="<f8")
+            paths = codes = np.empty(0, dtype=np.int32)
+        leaf_names = [parts[-1] for parts in self._parts]
+        state_names = list(self._state_codes)
+        order = np.lexsort(
+            (_ranks(state_names)[codes], _ranks(leaf_names)[paths], ends, starts)
+        )
+        paths = paths[order]
+        codes = codes[order]
+        leaf_index = {name: i for i, name in enumerate(hierarchy.leaf_names)}
+        leaf_ids = np.array([leaf_index.get(name, -1) for name in leaf_names], dtype="<i4")
+        resource_ids = leaf_ids[paths]
+        unknown = np.flatnonzero(resource_ids < 0)
+        if unknown.size:
+            name = leaf_names[paths[unknown[0]]]
+            exc = TraceError(f"interval resource {name!r} is not a leaf of the hierarchy")
+            raise TraceIOError(f"{self._source}: invalid trace content: {exc}") from exc
+        registry = states.copy() if states is not None else StateRegistry()
+        state_ids = np.zeros(len(state_names), dtype="<i4")
+        seen, first = np.unique(codes, return_index=True)
+        for code in seen[np.argsort(first)].tolist():
+            state_ids[code] = registry.add(state_names[code])
+        columns = TraceColumns(starts[order], ends[order], resource_ids, state_ids[codes])
+        return Trace.from_columns(columns, hierarchy, registry)
+
+
+def _ranks(names: "list[str]") -> np.ndarray:
+    """The rank of every name in code-point order (equal names, equal ranks)."""
+    rank = {name: i for i, name in enumerate(sorted(set(names)))}
+    return np.array([rank[name] for name in names], dtype=np.intp)
 
 
 # --------------------------------------------------------------------------- #

@@ -5,16 +5,24 @@ platform hierarchy that produced them and the registry of observed states.
 It is the hand-off point between the trace substrate (simulation, readers,
 synthetic generators) and the analysis core (microscopic model +
 aggregation).
+
+Internally a trace is :class:`~repro.trace.columns.TraceColumns`.  A trace
+built from interval objects (the simulator, the adapters, the filters)
+encodes them on the first :meth:`Trace.columns` call; a trace built from
+columns (the CSV reader, the store) creates interval objects only when
+:attr:`Trace.intervals` is first read.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from ..core.hierarchy import Hierarchy
-from .events import EventError, StateInterval
+from .columns import TraceColumns
+from .events import StateInterval
 from .states import StateRegistry
 
 __all__ = ["Trace", "TraceError", "TraceStatistics"]
@@ -22,6 +30,12 @@ __all__ = ["Trace", "TraceError", "TraceStatistics"]
 
 class TraceError(ValueError):
     """Raised for inconsistent traces."""
+
+
+#: Guards the lazy builds of :meth:`Trace.columns` and :attr:`Trace.intervals`,
+#: so threads sharing a trace all see one object.  One lock serves every
+#: trace: a lock held per trace would make traces unpicklable.
+_LAZY_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -70,56 +84,80 @@ class Trace:
         states: StateRegistry | None = None,
         metadata: Mapping[str, Any] | None = None,
     ):
-        self._hierarchy = hierarchy
-        self._states = states.copy() if states is not None else StateRegistry()
-        self._metadata: dict[str, Any] = dict(metadata or {})
+        registry = states.copy() if states is not None else StateRegistry()
         sorted_intervals = sorted(intervals)
         for interval in sorted_intervals:
             if interval.resource not in hierarchy:
                 raise TraceError(
                     f"interval resource {interval.resource!r} is not a leaf of the hierarchy"
                 )
-            self._states.add(interval.state)
-        self._intervals: tuple[StateInterval, ...] = tuple(sorted_intervals)
+            registry.add(interval.state)
+        self._adopt(hierarchy, registry, metadata, tuple(sorted_intervals), None)
+
+    def _adopt(
+        self,
+        hierarchy: Hierarchy,
+        states: StateRegistry,
+        metadata: Mapping[str, Any] | None,
+        intervals: "tuple[StateInterval, ...] | None",
+        columns: "TraceColumns | None",
+    ) -> None:
+        self._hierarchy = hierarchy
+        self._states = states
+        self._metadata: dict[str, Any] = dict(metadata or {})
+        self._intervals = intervals
+        self._columns = columns
 
     # ------------------------------------------------------------------ #
     # Trusted constructors
     # ------------------------------------------------------------------ #
     @classmethod
-    def from_sorted_intervals(
+    def from_columns(
         cls,
-        intervals: Sequence[StateInterval],
+        columns: TraceColumns,
         hierarchy: Hierarchy,
-        states: StateRegistry | None = None,
+        states: StateRegistry,
         metadata: Mapping[str, Any] | None = None,
     ) -> "Trace":
-        """Build a trace from pre-validated, pre-sorted intervals.
+        """Build a trace around validated columns, without interval objects.
 
-        Skips the sort and the per-interval resource/state bookkeeping of the
-        regular constructor.  The caller guarantees that ``intervals`` are in
-        the canonical ``(start, end)`` order, that every resource is a leaf of
-        ``hierarchy`` and that ``states`` already registers every state
-        appearing in the trace — which is exactly what
+        The caller guarantees that the rows are in the canonical order and
+        that every id indexes ``hierarchy``'s leaves and ``states`` — what
+        :func:`repro.trace.io.parse_csv` builds and what
         :func:`repro.store.open_store` re-reads from a digest-checked store.
+        The trace adopts ``states`` without copying it.
         """
-        if states is None:
-            states = StateRegistry()
-            for interval in intervals:
-                states.add(interval.state)
         trace = cls.__new__(cls)
-        trace._hierarchy = hierarchy
-        trace._states = states
-        trace._metadata = dict(metadata or {})
-        trace._intervals = tuple(intervals)
+        trace._adopt(hierarchy, states, metadata, None, columns)
         return trace
 
     # ------------------------------------------------------------------ #
     # Basic accessors
     # ------------------------------------------------------------------ #
+    def columns(self) -> TraceColumns:
+        """The intervals as columns, in the canonical order (built once)."""
+        columns = self._columns
+        if columns is None:
+            with _LAZY_LOCK:
+                if self._columns is None:
+                    self._columns = TraceColumns.encode(
+                        self._intervals, self._hierarchy.leaf_names, self._states.names
+                    )
+                columns = self._columns
+        return columns
+
     @property
     def intervals(self) -> tuple[StateInterval, ...]:
-        """State intervals sorted by start time."""
-        return self._intervals
+        """State intervals in the canonical order (start, end, resource, state)."""
+        intervals = self._intervals
+        if intervals is None:
+            with _LAZY_LOCK:
+                if self._intervals is None:
+                    self._intervals = self._columns.decode(
+                        self._hierarchy.leaf_names, self._states.names
+                    )
+                intervals = self._intervals
+        return intervals
 
     @property
     def hierarchy(self) -> Hierarchy:
@@ -139,26 +177,29 @@ class Trace:
     @property
     def n_intervals(self) -> int:
         """Number of state intervals."""
-        return len(self._intervals)
+        intervals = self._intervals
+        return len(intervals) if intervals is not None else self._columns.n_rows
 
     @property
     def n_events(self) -> int:
         """Number of punctual events (2 per state interval, as in Table II)."""
-        return 2 * len(self._intervals)
+        return 2 * self.n_intervals
 
     @property
     def start(self) -> float:
         """Earliest interval start (0.0 for an empty trace)."""
-        if not self._intervals:
-            return 0.0
-        return min(interval.start for interval in self._intervals)
+        if self._columns is None:
+            return min((iv.start for iv in self._intervals), default=0.0)
+        starts = self._columns.starts
+        return float(starts[starts.argmin()]) if starts.size else 0.0
 
     @property
     def end(self) -> float:
         """Latest interval end (0.0 for an empty trace)."""
-        if not self._intervals:
-            return 0.0
-        return max(interval.end for interval in self._intervals)
+        if self._columns is None:
+            return max((iv.end for iv in self._intervals), default=0.0)
+        ends = self._columns.ends
+        return float(ends[ends.argmax()]) if ends.size else 0.0
 
     @property
     def duration(self) -> float:
@@ -166,10 +207,10 @@ class Trace:
         return self.end - self.start
 
     def __len__(self) -> int:
-        return len(self._intervals)
+        return self.n_intervals
 
     def __iter__(self) -> Iterator[StateInterval]:
-        return iter(self._intervals)
+        return iter(self.intervals)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
@@ -184,14 +225,14 @@ class Trace:
         """All intervals produced by ``resource`` (sorted by start)."""
         if resource not in self._hierarchy:
             raise TraceError(f"unknown resource: {resource!r}")
-        return [iv for iv in self._intervals if iv.resource == resource]
+        return [iv for iv in self.intervals if iv.resource == resource]
 
     def intervals_by_resource(self) -> dict[str, list[StateInterval]]:
         """Mapping resource name -> its intervals, for every leaf (possibly empty)."""
         result: dict[str, list[StateInterval]] = {
             name: [] for name in self._hierarchy.leaf_names
         }
-        for interval in self._intervals:
+        for interval in self.intervals:
             result[interval.resource].append(interval)
         return result
 
@@ -201,7 +242,7 @@ class Trace:
     ) -> "Trace":
         """A new trace keeping only the intervals for which ``predicate`` holds."""
         return Trace(
-            (iv for iv in self._intervals if predicate(iv)),
+            (iv for iv in self.intervals if predicate(iv)),
             hierarchy=self._hierarchy,
             states=self._states,
             metadata=self._metadata,
@@ -212,7 +253,7 @@ class Trace:
         if end <= start:
             raise TraceError(f"empty time window [{start}, {end})")
         clipped = []
-        for interval in self._intervals:
+        for interval in self.intervals:
             part = interval.clipped(start, end)
             if part is not None:
                 clipped.append(part)
@@ -230,7 +271,7 @@ class Trace:
         """Summary statistics of the trace."""
         per_state: dict[str, int] = defaultdict(int)
         busy = 0.0
-        for interval in self._intervals:
+        for interval in self.intervals:
             per_state[interval.state] += 1
             busy += interval.duration
         return TraceStatistics(
@@ -246,7 +287,7 @@ class Trace:
     def state_durations(self) -> dict[str, float]:
         """Total time spent in every state, summed over resources."""
         totals: dict[str, float] = defaultdict(float)
-        for interval in self._intervals:
+        for interval in self.intervals:
             totals[interval.state] += interval.duration
         return dict(totals)
 
@@ -282,7 +323,7 @@ class Trace:
         metadata = dict(self._metadata)
         metadata.update(other.metadata)
         return Trace(
-            list(self._intervals) + list(other.intervals),
+            list(self.intervals) + list(other.intervals),
             hierarchy=self._hierarchy,
             states=states,
             metadata=metadata,

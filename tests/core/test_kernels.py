@@ -9,7 +9,9 @@ The ``c`` tier compiles ``sweep.c`` on first use and loads it through
   truncated ELF would crash the loader);
 * a cache directory another user owns, or that is group- or world-writable,
   is never loaded from;
-* concurrent first uses publish one loadable library.
+* concurrent first uses publish one loadable library;
+* a load keeps the cache to the ``CACHE_KEEP`` most recently used
+  libraries, deleting only this user's files and never the one it loaded.
 
 Build behaviour runs in fresh interpreters with ``XDG_CACHE_HOME`` pointing
 at a temporary directory, so every case starts from an empty process state
@@ -284,3 +286,77 @@ class TestBuildAndCache:
         assert _intact(library)
         assert not list(cache.glob(".sweep-*"))
         assert _probe(tmp_path) == results[0]
+
+
+class TestCachePruning:
+    """The cache keeps the ``CACHE_KEEP`` most recently used libraries."""
+
+    @staticmethod
+    def _plant(cache: Path, count: int, first_atime: int) -> list[Path]:
+        """``count`` stale libraries of other keys, oldest use first."""
+        cache.mkdir(mode=0o700, exist_ok=True)
+        planted = []
+        for index in range(count):
+            path = cache / f"sweep-{index:016x}-{index:016x}.so"
+            path.write_bytes(b"stale")
+            os.utime(path, (first_atime + index, first_atime))
+            planted.append(path)
+        return planted
+
+    @needs_c
+    def test_a_load_removes_stale_libraries_and_keeps_the_loaded_one(self, tmp_path):
+        cache = tmp_path / "repro"
+        reference = _probe(tmp_path)
+        (library,) = _libraries(cache)
+        # The real library is the least recently used file before the load.
+        os.utime(library, (1_000, library.stat().st_mtime))
+        planted = self._plant(cache, kernels.CACHE_KEEP + 3, first_atime=2_000)
+        assert _probe(tmp_path) == reference
+        survivors = _libraries(cache)
+        assert library in survivors and _intact(library)
+        assert library.stat().st_atime > planted[-1].stat().st_atime
+        assert sorted(survivors) == sorted(
+            [library, *planted[-(kernels.CACHE_KEEP - 1):]]
+        )
+        assert not list(cache.glob(".sweep-*"))
+
+    @needs_c
+    def test_a_fresh_build_prunes_too(self, tmp_path):
+        cache = tmp_path / "repro"
+        planted = self._plant(cache, kernels.CACHE_KEEP + 1, first_atime=2_000)
+        assert _probe(tmp_path)["default"] == "c"
+        built = [path for path in _libraries(cache) if path not in planted]
+        assert len(built) == 1 and _intact(built[0])
+        assert sorted(_libraries(cache)) == sorted(
+            built + planted[-(kernels.CACHE_KEEP - 1):]
+        )
+
+    def test_foreign_owned_libraries_are_left_alone(self, tmp_path, monkeypatch):
+        cache = tmp_path / "repro"
+        planted = self._plant(cache, kernels.CACHE_KEEP + 3, first_atime=2_000)
+        loaded = planted[0]
+        # Every file belongs to the real uid: to another "current" user
+        # they are all foreign, and none may be deleted.
+        real_uid = os.getuid()
+        monkeypatch.setattr(kernels.os, "getuid", lambda: real_uid + 1)
+        kernels._prune(cache, loaded)
+        assert _libraries(cache) == sorted(planted)
+        monkeypatch.undo()
+        kernels._prune(cache, loaded)
+        assert sorted(_libraries(cache)) == sorted(
+            [loaded, *planted[-(kernels.CACHE_KEEP - 1):]]
+        )
+
+    def test_symlinks_and_temporaries_are_left_alone(self, tmp_path):
+        cache = tmp_path / "repro"
+        planted = self._plant(cache, kernels.CACHE_KEEP + 2, first_atime=2_000)
+        target = tmp_path / "elsewhere.so"
+        target.write_bytes(b"not ours to delete")
+        link = cache / "sweep-link-0000000000000000.so"
+        link.symlink_to(target)
+        temporary = cache / ".sweep-abc.so"
+        temporary.write_bytes(b"a build in progress")
+        os.utime(temporary, (0, 0))
+        kernels._prune(cache, planted[-1])
+        assert link.is_symlink() and target.exists() and temporary.exists()
+        assert len([p for p in _libraries(cache) if not p.is_symlink()]) == kernels.CACHE_KEEP

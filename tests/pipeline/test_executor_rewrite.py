@@ -26,7 +26,7 @@ def trace():
 def parts(trace):
     intervals = list(trace.intervals)
     cut = int(len(intervals) * 0.7)
-    prefix = Trace.from_sorted_intervals(
+    prefix = Trace(
         intervals[:cut], trace.hierarchy, trace.states.copy(), trace.metadata
     )
     tail = [(i.start, i.end, i.resource, i.state) for i in intervals[cut:]]

@@ -24,7 +24,6 @@ from repro.core.hierarchy import Hierarchy
 from repro.core.microscopic import MicroscopicModel
 from repro.core.operators import available_operators, get_operator
 from repro.core.spatiotemporal import SpatiotemporalAggregator
-from repro.store import TraceColumns
 from repro.trace.events import StateInterval
 from repro.trace.synthetic import block_trace
 from repro.trace.trace import Trace
@@ -171,7 +170,7 @@ class TestConstructionPathBitIdentity:
     def test_from_columns_matches_from_trace(self, case, operator, n_slices):
         trace, _ = case
         reference = MicroscopicModel.from_trace(trace, n_slices=n_slices)
-        columns = TraceColumns.from_trace(trace)
+        columns = trace.columns()
         columnar = MicroscopicModel.from_columns(
             columns.starts, columns.ends, columns.resource_ids, columns.state_ids,
             trace.hierarchy, trace.states, n_slices=n_slices,
@@ -187,7 +186,7 @@ class TestConstructionPathBitIdentity:
            n_slices=st.integers(min_value=2, max_value=7))
     def test_extend_matches_one_shot_discretization(self, case, operator, n_slices):
         trace, split = case
-        columns = TraceColumns.from_trace(trace)
+        columns = trace.columns()
         prefix = columns.slice(0, split)
         tail = columns.slice(split, columns.n_rows)
         base = MicroscopicModel.from_columns(
@@ -247,7 +246,7 @@ class TestPartitionsAgree:
     def test_partition_identical_across_construction_paths(self, case, operator, p):
         trace, _ = case
         reference = MicroscopicModel.from_trace(trace, n_slices=6)
-        columns = TraceColumns.from_trace(trace)
+        columns = trace.columns()
         columnar = MicroscopicModel.from_columns(
             columns.starts, columns.ends, columns.resource_ids, columns.state_ids,
             trace.hierarchy, trace.states, n_slices=6,

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.core.hierarchy import Hierarchy
 from repro.core.microscopic import MicroscopicModel
-from repro.store import TraceColumns, open_store, save_store, trace_digest
+from repro.store import open_store, save_store, trace_digest
 from repro.trace.events import StateInterval
 from repro.trace.io import read_csv, read_paje, write_csv, write_paje
 from repro.trace.trace import Trace
@@ -104,7 +104,7 @@ class TestColumnarModel:
     @given(trace=trace_strategy(), n_slices=st.integers(min_value=1, max_value=23))
     def test_from_columns_bit_identical_to_from_trace(self, trace, n_slices):
         reference = MicroscopicModel.from_trace(trace, n_slices=n_slices)
-        columns = TraceColumns.from_trace(trace)
+        columns = trace.columns()
         vectorized = MicroscopicModel.from_columns(
             columns.starts,
             columns.ends,
@@ -120,7 +120,7 @@ class TestColumnarModel:
     @_SETTINGS
     @given(trace=trace_strategy(), chunk_rows=st.integers(min_value=1, max_value=64))
     def test_from_columns_chunking_invariant(self, trace, chunk_rows):
-        columns = TraceColumns.from_trace(trace)
+        columns = trace.columns()
         whole = MicroscopicModel.from_columns(
             columns.starts, columns.ends, columns.resource_ids, columns.state_ids,
             trace.hierarchy, trace.states.copy(), n_slices=9,

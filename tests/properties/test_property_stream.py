@@ -27,7 +27,6 @@ from repro.core.microscopic import MicroscopicModel
 from repro.store import (
     RollingColumnsDigest,
     StoreWriter,
-    TraceColumns,
     columns_digest,
     open_store,
     save_store,
@@ -77,7 +76,7 @@ def split_trace_strategy(draw, min_size=2, max_size=50):
 
 
 def _prefix_trace(trace: Trace, split: int) -> Trace:
-    return Trace.from_sorted_intervals(
+    return Trace(
         trace.intervals[:split], trace.hierarchy, trace.states.copy(), trace.metadata
     )
 
@@ -90,7 +89,7 @@ class TestWriterAppendDifferential:
         base = tmp_path_factory.mktemp("wr")
         streamed_path = base / "streamed.rtz"
         save_store(_prefix_trace(trace, split), streamed_path, chunk_rows=16)
-        columns = TraceColumns.from_trace(trace)
+        columns = trace.columns()
         writer = StoreWriter(streamed_path)
         writer.append(columns.slice(split, columns.n_rows))
 
@@ -114,7 +113,7 @@ class TestWriterAppendDifferential:
     @given(case=split_trace_strategy(min_size=3), second=st.integers(min_value=1, max_value=48))
     def test_two_appends_equal_one(self, tmp_path_factory, case, second):
         trace, split = case
-        columns = TraceColumns.from_trace(trace)
+        columns = trace.columns()
         mid = split + 1 + second % max(columns.n_rows - split - 1, 1) if split + 1 < columns.n_rows else split
         base = tmp_path_factory.mktemp("wr2")
         save_store(_prefix_trace(trace, split), base / "a.rtz", chunk_rows=8)
@@ -134,7 +133,7 @@ class TestExtendDifferential:
     @given(case=split_trace_strategy(), n_slices=st.integers(min_value=1, max_value=17))
     def test_extend_bit_identical_to_from_columns(self, case, n_slices):
         trace, split = case
-        columns = TraceColumns.from_trace(trace)
+        columns = trace.columns()
         prefix = columns.slice(0, split)
         tail = columns.slice(split, columns.n_rows)
         base = MicroscopicModel.from_columns(
@@ -158,7 +157,7 @@ class TestExtendDifferential:
     @given(case=split_trace_strategy(), n_slices=st.integers(min_value=1, max_value=17))
     def test_extend_without_warm_tables_matches_too(self, case, n_slices):
         trace, split = case
-        columns = TraceColumns.from_trace(trace)
+        columns = trace.columns()
         base = MicroscopicModel.from_columns(
             columns.starts[:split], columns.ends[:split],
             columns.resource_ids[:split], columns.state_ids[:split],
@@ -179,7 +178,7 @@ class TestExtendDifferential:
     @given(case=split_trace_strategy(min_size=4), n_slices=st.integers(min_value=1, max_value=11))
     def test_chained_extends_equal_one_rebuild(self, case, n_slices):
         trace, split = case
-        columns = TraceColumns.from_trace(trace)
+        columns = trace.columns()
         mid = (split + columns.n_rows) // 2
         base = MicroscopicModel.from_columns(
             columns.starts[:split], columns.ends[:split],
@@ -210,7 +209,7 @@ class TestWindowDifferential:
     )
     def test_window_tables_equal_windowed_rebuild(self, case, n_slices, data):
         trace, _ = case
-        columns = TraceColumns.from_trace(trace)
+        columns = trace.columns()
         model = MicroscopicModel.from_columns(
             columns.starts, columns.ends, columns.resource_ids, columns.state_ids,
             trace.hierarchy, trace.states.copy(), n_slices=n_slices,
@@ -235,7 +234,7 @@ class TestRollingDigest:
     @given(case=split_trace_strategy())
     def test_rolling_digest_matches_columns_digest(self, case):
         trace, split = case
-        columns = TraceColumns.from_trace(trace)
+        columns = trace.columns()
         leaf_paths = [leaf.path for leaf in trace.hierarchy.leaves]
         rolling = RollingColumnsDigest(leaf_paths, trace.states.names, trace.metadata)
         rolling.extend(columns.slice(0, split))

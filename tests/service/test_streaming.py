@@ -40,7 +40,7 @@ def parts(full_trace):
     """The trace cut into a 60% prefix and four equal live batches."""
     intervals = list(full_trace.intervals)
     cut = int(len(intervals) * 0.6)
-    prefix = Trace.from_sorted_intervals(
+    prefix = Trace(
         intervals[:cut], full_trace.hierarchy, full_trace.states.copy(),
         full_trace.metadata,
     )
@@ -175,7 +175,7 @@ class TestSessionAppend:
     def test_refresh_survives_external_rebuild(self, session, full_trace, tmp_path):
         session.execute(AnalysisRequest.from_query(p=0.5, slices=10))
         # Changed metadata makes the on-disk store a rewrite, not an append.
-        full_trace = Trace.from_sorted_intervals(
+        full_trace = Trace(
             list(full_trace.intervals), full_trace.hierarchy,
             full_trace.states.copy(), {"run": "rewritten"},
         )

@@ -13,6 +13,7 @@ import pytest
 from repro.store import (
     StoreError,
     StoreIntegrityError,
+    StoreWriter,
     TraceColumns,
     is_store,
     open_store,
@@ -276,11 +277,24 @@ class TestColumns:
             assert leaf_names[columns.resource_ids[row]] == interval.resource
             assert state_names[columns.state_ids[row]] == interval.state
 
-    def test_mismatched_column_lengths_rejected(self):
-        with pytest.raises(StoreError, match="same length"):
+    def test_mismatched_column_lengths_rejected(self, store):
+        with pytest.raises(ValueError, match="same length"):
             TraceColumns(
                 np.zeros(3),
                 np.zeros(3),
                 np.zeros(2, dtype="<i4"),
                 np.zeros(3, dtype="<i4"),
             )
+        # Store-side columns of unequal length are a store error: an append
+        # batch, and a chunk file whose arrays disagree.
+        with pytest.raises(StoreError, match="same length"):
+            StoreWriter(store.path).append(
+                np.zeros(3), np.zeros(3), np.zeros(2), np.zeros(3)
+            )
+        chunk = next((store.path / "chunks").glob("*.npz"))
+        with np.load(chunk) as data:
+            arrays = {key: data[key] for key in data.files}
+        arrays["ends"] = arrays["ends"][:-1]
+        np.savez(chunk, **arrays)
+        with pytest.raises(StoreError, match="same length"):
+            open_store(store.path).columns()

@@ -19,7 +19,6 @@ from repro.store import (
     StoreIntegrityError,
     StoreRewrittenError,
     StoreWriter,
-    TraceColumns,
     open_store,
     save_store,
     sync_store,
@@ -38,7 +37,7 @@ def full_trace():
 def split(full_trace):
     intervals = list(full_trace.intervals)
     cut = int(len(intervals) * 0.8)
-    prefix = Trace.from_sorted_intervals(
+    prefix = Trace(
         intervals[:cut], full_trace.hierarchy, full_trace.states.copy(),
         full_trace.metadata,
     )
@@ -225,7 +224,7 @@ class TestNegativePaths:
         store = open_store(store_path)  # columns never loaded
         # Rebuild with identical chunk layout (same rows, same chunking) but
         # different content: shift every timestamp.
-        shifted = Trace.from_sorted_intervals(
+        shifted = Trace(
             [StateInterval(i.start + 0.125, i.end + 0.125, i.resource, i.state)
              for i in prefix.intervals],
             prefix.hierarchy, prefix.states.copy(), prefix.metadata,
@@ -296,7 +295,7 @@ class TestSyncStore:
     def test_create_append_unchanged_rebuild_cycle(self, tmp_path, full_trace):
         intervals = list(full_trace.intervals)
         cut = len(intervals) // 2
-        prefix = Trace.from_sorted_intervals(
+        prefix = Trace(
             intervals[:cut], full_trace.hierarchy, full_trace.states.copy(),
             full_trace.metadata,
         )
@@ -335,7 +334,7 @@ class TestSyncStore:
         intervals = list(full_trace.intervals)
         path = tmp_path / "s.rtz"
         sync_store(full_trace, path)
-        edited = Trace.from_sorted_intervals(
+        edited = Trace(
             [StateInterval(intervals[0].start, intervals[0].end + 0.25,
                            intervals[0].resource, intervals[0].state)]
             + intervals[1:],
@@ -350,7 +349,7 @@ class TestSyncStore:
         cut1, cut2 = len(intervals) // 3, 2 * len(intervals) // 3
 
         def prefix(n):
-            return Trace.from_sorted_intervals(
+            return Trace(
                 intervals[:n], full_trace.hierarchy, full_trace.states.copy(),
                 full_trace.metadata,
             )
@@ -370,13 +369,13 @@ class TestSyncStore:
     def test_rebuilt_store_columns_match_trace(self, tmp_path, full_trace):
         path = tmp_path / "s.rtz"
         sync_store(full_trace, path)
-        meta_changed = Trace.from_sorted_intervals(
+        meta_changed = Trace(
             list(full_trace.intervals), full_trace.hierarchy,
             full_trace.states.copy(), {"run": "second"},
         )
         assert sync_store(meta_changed, path).action == "rebuilt"
         store = open_store(path)
         got = store.columns()
-        want = TraceColumns.from_trace(meta_changed)
+        want = meta_changed.columns()
         assert np.array_equal(got.starts, want.starts)
         assert store.metadata == {"run": "second"}

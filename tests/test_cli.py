@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -201,6 +202,25 @@ class TestConvert:
         assert main(["analyze", str(store), "--slices", "12"]) == 0
         from_store = capsys.readouterr().out
         assert from_store == from_csv
+
+    @pytest.mark.parametrize("corpus_case", [None, "case_a", "case_c"])
+    def test_analyze_json_on_csv_is_byte_identical_to_its_store(
+        self, small_trace_csv, tmp_path, capsys, corpus_case
+    ):
+        # The CSV path discretizes the parsed columns, the store path its
+        # chunk columns: the payloads, digest included, must be equal bytes.
+        csv_path = small_trace_csv
+        if corpus_case is not None:
+            csv_path = Path(__file__).parent / "data" / "corpus" / f"{corpus_case}.csv"
+        store = tmp_path / "t.rtz"
+        assert main(["convert", str(csv_path), str(store)]) == 0
+        capsys.readouterr()
+        outputs = []
+        for target in (csv_path, store):
+            assert main(["analyze", str(target), "--slices", "24", "--json"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])
 
     def test_convert_prebuilds_models(self, small_trace_csv, tmp_path, capsys):
         store = tmp_path / "small.rtz"
