@@ -18,6 +18,16 @@ runs on the window while the prefix tables span the whole trace.  The
 per-cell reference is skipped there (the row records why); the gated ratio
 is ``kernel_ratio``.
 
+A **search row family** (``search_results``) times the significant-p search
+(:func:`~repro.core.parameters.significant_points`, mean operator) two ways
+on one warm aggregator: one DP per value through a ``run``-only wrapper (the
+per-p search) against the batched search, which solves each bisection
+depth's new values in one DP over ``(P, N, T, T)`` slabs.  It runs on a
+2-slice window of a 64-resource model and on a whole 30-slice model, diffs
+the two searches' points bit for bit, and gates ``search_speedup`` (per-p
+seconds over batched seconds, best per-call time over samples of at least
+20 ms).
+
 Results are written as ``BENCH_spatiotemporal.json`` (at the repository root
 by default), seeding the performance trajectory.  CI runs the ``--smoke``
 grid and gates regressions with ``--check-against``: the comparison uses
@@ -59,6 +69,7 @@ from common import (  # noqa: E402
 
 from repro.core.kernels import available_kernels  # noqa: E402
 from repro.core.microscopic import MicroscopicModel  # noqa: E402
+from repro.core.parameters import significant_points  # noqa: E402
 from repro.core.spatiotemporal import SpatiotemporalAggregator  # noqa: E402
 from repro.pipeline.window import WindowSpec, resolve_window_bounds  # noqa: E402
 from repro.trace.states import StateRegistry  # noqa: E402
@@ -71,6 +82,12 @@ SMOKE_GRID = {"slices": (20, 60), "resources": (16, 64)}
 #: and streaming paths take) is a trailing window over full-span prefix
 #: tables.
 LARGE_GRID = [(1024, 1000, 48)]
+#: (resources, slices, window): the search row family — a 2-slice window, as
+#: an interactive sweep over recent slices, and a whole 30-slice model (16
+#: resources: its search solves some 760 values, one DP each per-p).  The
+#: smoke run keeps the window row.
+SEARCH_GRID = [(64, 30, 2), (16, 30, 30)]
+SMOKE_SEARCH_GRID = [(64, 30, 2)]
 
 
 def build_model(n_resources: int, n_slices: int, n_states: int, seed: int) -> MicroscopicModel:
@@ -234,9 +251,74 @@ def bench_large_cell(
     return row
 
 
+class PerValue:
+    """An aggregator seen through ``run(p)`` alone: the search then runs one DP per value."""
+
+    def __init__(self, aggregator: SpatiotemporalAggregator) -> None:
+        self.aggregator = aggregator
+        self.runs = 0
+
+    def run(self, p: float):
+        self.runs += 1
+        return self.aggregator.run(p)
+
+
+class Batched:
+    """An aggregator's batch evaluator, counting the search's requests (one per depth)."""
+
+    def __init__(self, aggregator: SpatiotemporalAggregator) -> None:
+        self.aggregator = aggregator
+        self.requests = 0
+
+    def quality(self, ps):
+        self.requests += 1
+        return self.aggregator.quality(ps)
+
+
+def _search(evaluator: "PerValue | Batched") -> tuple:
+    """The significant points found through ``evaluator``, and the evaluator."""
+    return significant_points(evaluator), evaluator
+
+
+def _point_bits(points) -> list:
+    return [(point.p.hex(), point.size, point.gain.hex(), point.loss.hex()) for point in points]
+
+
+def bench_search_cell(
+    n_resources: int, n_slices: int, window: int, n_states: int, repeats: int, seed: int
+) -> dict:
+    """One search row: the per-p search against the batched search, points diffed."""
+    model = build_model(n_resources, n_slices, n_states, seed)
+    searched = model.window(n_slices - window, n_slices) if window < n_slices else model
+    aggregator = SpatiotemporalAggregator(searched)
+    aggregator.build_tables()
+    seconds_per_p, (oracle, counted) = timed_per_call(
+        lambda: _search(PerValue(aggregator)), repeats
+    )
+    seconds_batched, (points, rounds) = timed_per_call(
+        lambda: _search(Batched(aggregator)), repeats
+    )
+    return {
+        "resources": n_resources,
+        "slices": n_slices,
+        "window": window,
+        "states": n_states,
+        "nodes": searched.hierarchy.n_nodes,
+        "operator": "mean",
+        "values": len(points),
+        "dp_runs": counted.runs,
+        "rounds": rounds.requests,
+        "seconds_per_p": round(seconds_per_p, 6),
+        "seconds_batched": round(seconds_batched, 6),
+        "search_speedup": round(seconds_per_p / seconds_batched, 3),
+        "points_identical": _point_bits(points) == _point_bits(oracle),
+    }
+
+
 def check_regression(
     results: list[dict],
     large_results: list[dict],
+    search_results: list[dict],
     baseline_path: Path,
     max_regression: float,
 ) -> int:
@@ -262,6 +344,17 @@ def check_regression(
                 key_fields=("resources", "slices", "window"),
                 metrics=[kernel_ratio],
                 results_key="large_results",
+            ),
+        )
+    if search_results:
+        code = max(
+            code,
+            check_ratio_regression(
+                search_results,
+                baseline_path,
+                key_fields=("resources", "slices", "window"),
+                metrics=[GateMetric("search_speedup", max_regression=max_regression)],
+                results_key="search_results",
             ),
         )
     return code
@@ -345,6 +438,20 @@ def main(argv: "list[str] | None" = None) -> int:
                 return 1
             large_results.append(row)
 
+    search_results = []
+    for n_resources, n_slices, window in SMOKE_SEARCH_GRID if args.smoke else SEARCH_GRID:
+        row = bench_search_cell(n_resources, n_slices, window, args.states, args.repeats, args.seed)
+        print(
+            f"search resources={n_resources:>4} slices={n_slices:>3} window={window:>3} "
+            f"values={row['values']} dp_runs={row['dp_runs']} rounds={row['rounds']} "
+            f"per_p={row['seconds_per_p'] * 1e3:.1f}ms batched={row['seconds_batched'] * 1e3:.1f}ms "
+            f"speedup={row['search_speedup']:.2f}x identical={row['points_identical']}"
+        )
+        if not row["points_identical"]:
+            print("FATAL: the batched search diverges from the per-p search", file=sys.stderr)
+            return 1
+        search_results.append(row)
+
     payload = {
         "benchmark": "spatiotemporal_aggregation",
         "meta": bench_meta(),
@@ -359,13 +466,14 @@ def main(argv: "list[str] | None" = None) -> int:
         },
         "results": results,
         "large_results": large_results,
+        "search_results": search_results,
     }
     args.output.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.output}")
 
     if args.check_against is not None:
         return check_regression(
-            results, large_results, args.check_against, args.max_regression
+            results, large_results, search_results, args.check_against, args.max_regression
         )
     return 0
 

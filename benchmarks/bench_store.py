@@ -38,7 +38,13 @@ ROOT = Path(__file__).resolve().parent.parent
 if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
 
-from common import bench_meta, GateMetric, check_ratio_regression, time_call  # noqa: E402
+from common import (  # noqa: E402
+    GateMetric,
+    bench_meta,
+    check_ratio_regression,
+    time_call,
+    timed_per_call,
+)
 
 from repro.pipeline import AnalysisEngine, AnalysisRequest  # noqa: E402
 from repro.store import open_store, save_store  # noqa: E402
@@ -74,8 +80,11 @@ def bench_cell(
     csv_bytes = write_csv(trace, csv_path)
     save_store(read_csv(csv_path), store_path)
 
-    csv_load = time_call(lambda: read_csv(csv_path), repeats)
-    store_load = time_call(lambda: open_store(store_path).columns(), repeats)
+    # The two gated load legs are read per call over samples of at least
+    # 20 ms: the store leg is about a millisecond, where one scheduler
+    # hiccup would move the ratio by half.
+    csv_load, _ = timed_per_call(lambda: read_csv(csv_path), repeats)
+    store_load, _ = timed_per_call(lambda: open_store(store_path).columns(), repeats)
     store_trace = time_call(lambda: open_store(store_path).load_trace(), repeats)
 
     def query(engine: AnalysisEngine) -> str:

@@ -43,7 +43,13 @@ ROOT = Path(__file__).resolve().parent.parent
 if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
 
-from common import bench_meta, GateMetric, check_ratio_regression, time_call  # noqa: E402
+from common import (  # noqa: E402
+    GateMetric,
+    bench_meta,
+    check_ratio_regression,
+    time_call,
+    timed_per_call,
+)
 
 from repro.core.microscopic import MicroscopicModel  # noqa: E402
 from repro.core.spatiotemporal import SpatiotemporalAggregator  # noqa: E402
@@ -171,8 +177,11 @@ def bench_cell(
             "extend lost bit-identity"
         )
 
-    incremental_seconds = time_call(incremental, repeats)
-    rebuild_seconds = time_call(rebuild, repeats)
+    # The two gated legs are read per call over samples of at least 20 ms:
+    # the incremental leg is a few milliseconds, where one scheduler hiccup
+    # would move the ratio across the 10x floor.
+    incremental_seconds, _ = timed_per_call(incremental, repeats)
+    rebuild_seconds, _ = timed_per_call(rebuild, repeats)
 
     # Secondary: the model-maintenance step alone (extend vs from_columns).
     extend_seconds = time_call(lambda: base_model.extend(

@@ -480,9 +480,22 @@ class IntervalStatistics:
         nodes whose tables exist are gathered from the slabs, one indexing
         call per height, and the others take the O(1) point path.
         """
-        index = np.array([a.node.index for a in aggregates], dtype=np.intp)
-        starts = np.array([a.i for a in aggregates], dtype=np.intp)
-        ends = np.array([a.j for a in aggregates], dtype=np.intp)
+        gains, losses = self.gain_loss_cells(
+            np.array([a.node.index for a in aggregates], dtype=np.intp),
+            np.array([a.i for a in aggregates], dtype=np.intp),
+            np.array([a.j for a in aggregates], dtype=np.intp),
+        )
+        return sum(gains.tolist()), sum(losses.tolist())
+
+    def gain_loss_cells(
+        self, index: np.ndarray, starts: np.ndarray, ends: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Gain and loss arrays of the aggregates ``(index[k], starts[k], ends[k])``.
+
+        ``index`` holds node indices.  Entries of nodes whose tables exist
+        are gathered from the slabs, one indexing call per height; the
+        others take the O(1) point path (:meth:`gain_loss_at`).
+        """
         gains = np.zeros(len(index))
         losses = np.zeros(len(index))
         heights = self._heights[index]
@@ -494,11 +507,11 @@ class IntervalStatistics:
             gains[at] = self._gain_slabs[height][cells]
             losses[at] = self._loss_slabs[height][cells]
         for position in np.flatnonzero(~gathered).tolist():
-            aggregate = aggregates[position]
+            height, slot = int(heights[position]), int(slots[position])
             gains[position], losses[position] = self.gain_loss_at(
-                aggregate.node, aggregate.i, aggregate.j
+                self._plan.levels[height].nodes[slot], int(starts[position]), int(ends[position])
             )
-        return sum(gains.tolist()), sum(losses.tolist())
+        return gains, losses
 
     def gain(self, node: HierarchyNode, i: int, j: int) -> float:
         """Gain of the aggregate ``(node, T_(i,j))``."""

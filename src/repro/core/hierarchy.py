@@ -150,7 +150,8 @@ class HierarchyNode:
 #: One child-merge step of a height: ``(parents, source_height, children)``.
 #: ``parents`` are row positions in the height's slab, ``children`` the rows
 #: of their children in the slab of ``source_height``; a parent appears at
-#: most once per step.
+#: most once per step.  Both increase: rows follow post-order, and so do the
+#: children of the same rank of successive parents.
 Merge = tuple[np.ndarray, int, np.ndarray]
 
 

@@ -12,18 +12,28 @@ significant values".  This module provides:
 * :func:`significant_points` — the same search, returning the quality of the
   partition it solved at each significant value (the sweep's curve without a
   second DP per value).
+
+The search is breadth-first: every bisection depth's new midpoints are
+solved together by the aggregator's batch evaluator
+(:meth:`~repro.core.spatiotemporal.SpatiotemporalAggregator.quality`), which
+runs Algorithm 1 once per batch of values whose tables fit
+:data:`repro.core.kernels.SWEEP_BATCH_BYTES` — a short window solves a whole
+depth at once, a large model one value at a time.  Whether an interval is
+split depends only on the signatures of its two endpoints, so this visits
+exactly the values a depth-first recursion visits, and returns the same
+points.  An object with only a ``run(p)`` method (returning a
+:class:`~repro.core.partition.Partition`) is searched one value at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .microscopic import MicroscopicModel
 from .operators import AggregationOperator
-from .spatiotemporal import SpatiotemporalAggregator
+from .spatiotemporal import QualityPoint, SpatiotemporalAggregator
 
 __all__ = [
     "QualityPoint",
@@ -32,20 +42,26 @@ __all__ = [
     "significant_points",
 ]
 
+#: A batch evaluator: the :class:`QualityPoint` of every ``p`` given, in order.
+Evaluator = Callable[[Sequence[float]], "list[QualityPoint]"]
 
-@dataclass(frozen=True)
-class QualityPoint:
-    """Quality of the optimal partition at one trade-off value."""
 
-    p: float
-    size: int
-    gain: float
-    loss: float
+def _evaluator(aggregator: object) -> Evaluator:
+    """``aggregator.quality``, or one ``aggregator.run(p)`` per value."""
+    quality = getattr(aggregator, "quality", None)
+    if quality is not None:
+        return quality
 
-    @property
-    def pic(self) -> float:
-        """pIC of the optimal partition at this point."""
-        return self.p * self.gain - (1.0 - self.p) * self.loss
+    def per_p(ps: Sequence[float]) -> list[QualityPoint]:
+        points = []
+        for p in ps:
+            partition = aggregator.run(p)  # type: ignore[attr-defined]
+            points.append(
+                QualityPoint(p=p, size=partition.size, gain=partition.gain(), loss=partition.loss())
+            )
+        return points
+
+    return per_p
 
 
 def quality_curve(
@@ -67,18 +83,7 @@ def quality_curve(
         aggregator = SpatiotemporalAggregator(aggregator, operator=operator)
     if ps is None:
         ps = np.linspace(0.0, 1.0, 21)
-    points: list[QualityPoint] = []
-    for p in ps:
-        partition = aggregator.run(float(p))
-        points.append(
-            QualityPoint(
-                p=float(p),
-                size=partition.size,
-                gain=partition.gain(),
-                loss=partition.loss(),
-            )
-        )
-    return points
+    return _evaluator(aggregator)([float(p) for p in ps])
 
 
 def find_significant_parameters(
@@ -119,37 +124,40 @@ def significant_points(
     """
     if isinstance(aggregator, MicroscopicModel):
         aggregator = SpatiotemporalAggregator(aggregator, operator=operator)
-
+    evaluate = _evaluator(aggregator)
     solved: dict[float, QualityPoint] = {}
 
+    def solve(ps: Sequence[float]) -> None:
+        new = [p for p in dict.fromkeys(ps) if p not in solved]
+        if new:
+            solved.update((point.p, point) for point in evaluate(new))
+
     def signature(p: float) -> tuple[float, float, int]:
-        point = solved.get(p)
-        if point is None:
-            partition = aggregator.run(p)
-            point = QualityPoint(
-                p=p, size=partition.size, gain=partition.gain(), loss=partition.loss()
-            )
-            solved[p] = point
+        point = solved[p]
         return (round(point.gain, 9), round(point.loss, 9), point.size)
 
-    boundaries: set[float] = {0.0, 1.0}
-
-    def explore(lo: float, hi: float, depth: int) -> None:
-        if depth >= max_depth or hi - lo <= tolerance:
-            return
-        if signature(lo) == signature(hi):
-            return
-        mid = (lo + hi) / 2.0
-        boundaries.add(mid)
-        explore(lo, mid, depth + 1)
-        explore(mid, hi, depth + 1)
-
-    explore(0.0, 1.0, 0)
+    # Breadth-first bisection: each depth splits the intervals whose
+    # endpoints differ and solves all their midpoints in one batch.
+    solve([0.0, 1.0])
+    intervals = [(0.0, 1.0)]
+    for _ in range(max_depth):
+        split = [
+            (lo, hi)
+            for lo, hi in intervals
+            if hi - lo > tolerance and signature(lo) != signature(hi)
+        ]
+        if not split:
+            break
+        mids = [(lo + hi) / 2.0 for lo, hi in split]
+        solve(mids)
+        intervals = [
+            half for (lo, hi), mid in zip(split, mids) for half in ((lo, mid), (mid, hi))
+        ]
 
     # Keep one representative per distinct signature, in increasing p order.
     significant: list[QualityPoint] = []
     last_signature: tuple[float, float, int] | None = None
-    for p in sorted(boundaries):
+    for p in sorted(solved):
         sig = signature(p)
         if sig != last_signature:
             significant.append(solved[p])

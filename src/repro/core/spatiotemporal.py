@@ -58,6 +58,16 @@ slab passes on its subtree's nodes) and stores the per-subtree rows in the
 parent's slabs, whose remaining ancestors are solved by height the same way
 (exposed as ``repro analyze --jobs``).
 
+Several trade-off values solve together: the slabs then carry a leading
+``p`` axis, ``(P, N, T, T)``, and every step runs on all ``P`` values of a
+height at once (the sweep sees ``P * N`` rows).  Each value's cells get the
+same operations as when it is solved alone, so batching changes no bit;
+:meth:`SpatiotemporalAggregator.quality` and
+:meth:`~SpatiotemporalAggregator.run_many` split their values into batches
+whose tables fit :data:`repro.core.kernels.SWEEP_BATCH_BYTES` (at least one
+value per batch), and :meth:`~SpatiotemporalAggregator.compute_tables` is
+the one-value case.
+
 The optimal partition is recovered by replaying the cuts, read from the
 per-height ``cut`` slabs, from the root and the whole time span.
 """
@@ -68,13 +78,14 @@ from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import kernels
 from .criteria import IntervalStatistics
-from .hierarchy import HeightPlan, HierarchyNode, Merge
+from .hierarchy import HeightPlan, Hierarchy, HierarchyNode, Merge
 from .kernels import resolve_kernel
 from .microscopic import MicroscopicModel
 from .operators import AggregationOperator
@@ -86,6 +97,7 @@ __all__ = [
     "aggregate_spatiotemporal",
     "HeightTables",
     "NodeTables",
+    "QualityPoint",
 ]
 
 
@@ -109,6 +121,26 @@ TABLE_DTYPE = np.int32
 #: pIC and count sums, the gathered child rows and the spatial-cut test's
 #: shifted tables and masks.  Chunks stay within ``kernels.SWEEP_BATCH_BYTES``.
 _MERGE_CELL_BYTES = 48
+
+#: Bytes of the tables per cell of one node at one trade-off value: the
+#: float64 pIC, the cut and the count.  A batch of values is as many as fit
+#: ``kernels.SWEEP_BATCH_BYTES`` (at least one).
+_TABLE_CELL_BYTES = 8 + 2 * np.dtype(TABLE_DTYPE).itemsize
+
+
+@dataclass(frozen=True)
+class QualityPoint:
+    """Quality of the optimal partition at one trade-off value."""
+
+    p: float
+    size: int
+    gain: float
+    loss: float
+
+    @property
+    def pic(self) -> float:
+        """pIC of the optimal partition at this point."""
+        return self.p * self.gain - (1.0 - self.p) * self.loss
 
 
 @dataclass(frozen=True)
@@ -136,17 +168,20 @@ class NodeTables:
 
 
 class HeightTables(Mapping):
-    """Algorithm 1's tables: one ``(N, T, T)`` slab triple per hierarchy height.
+    """Algorithm 1's tables: one ``(P, N, T, T)`` slab triple per hierarchy height.
 
     ``pic[h]``, ``cut[h]`` and ``count[h]`` hold the tables of the nodes of
-    height ``h``, row ``n`` for the node in slot ``n`` of ``plan``.  As a
-    mapping, ``tables[node.index]`` is that node's :class:`NodeTables` — views
-    of its rows, never a copy.
+    height ``h`` at the ``P = n_ps`` trade-off values solved together:
+    ``[q, n]`` is the node in slot ``n`` of ``plan`` at the ``q``-th value.
+    :meth:`at` gives the tables of one value.  As a mapping (one value),
+    ``tables[node.index]`` is that node's :class:`NodeTables` — views of its
+    rows, never a copy.
     """
 
-    def __init__(self, plan: HeightPlan, n_slices: int):
+    def __init__(self, plan: HeightPlan, n_slices: int, n_ps: int = 1):
         self.plan = plan
         self.n_slices = n_slices
+        self.n_ps = n_ps
         self.pic: list["np.ndarray | None"] = [None] * len(plan.levels)
         self.cut: list["np.ndarray | None"] = [None] * len(plan.levels)
         self.count: list["np.ndarray | None"] = [None] * len(plan.levels)
@@ -164,20 +199,33 @@ class HeightTables(Mapping):
             self.pic[height], self.cut[height], self.count[height] = pic, cut, count
             return
         if self.pic[height] is None:
-            shape = (len(self.plan.levels[height].nodes), self.n_slices, self.n_slices)
+            shape = (
+                self.n_ps, len(self.plan.levels[height].nodes), self.n_slices, self.n_slices
+            )
             self.pic[height] = np.empty(shape)
             self.cut[height] = np.empty(shape, dtype=TABLE_DTYPE)
             self.count[height] = np.empty(shape, dtype=TABLE_DTYPE)
-        self.pic[height][slots] = pic
-        self.cut[height][slots] = cut
-        self.count[height][slots] = count
+        self.pic[height][:, slots] = pic
+        self.cut[height][:, slots] = cut
+        self.count[height][:, slots] = count
+
+    def at(self, q: int) -> "HeightTables":
+        """The one-value tables of the ``q``-th trade-off value (views)."""
+        tables = HeightTables(self.plan, self.n_slices)
+        for mine, theirs in zip((tables.pic, tables.cut, tables.count), (self.pic, self.cut, self.count)):
+            mine[:] = [None if slab is None else slab[q : q + 1] for slab in theirs]
+        return tables
 
     def __getitem__(self, index: int) -> NodeTables:
+        if self.n_ps != 1:
+            raise TypeError(f"tables of {self.n_ps} trade-off values: select one with at(q)")
         if not 0 <= index < len(self.plan.height):
             raise KeyError(index)
         height, slot = self.plan.height[index], self.plan.slot[index]
         return NodeTables(
-            pic=self.pic[height][slot], cut=self.cut[height][slot], count=self.count[height][slot]
+            pic=self.pic[height][0, slot],
+            cut=self.cut[height][0, slot],
+            count=self.count[height][0, slot],
         )
 
     def __iter__(self) -> Iterator[int]:
@@ -187,19 +235,39 @@ class HeightTables(Mapping):
         return len(self.plan.height)
 
 
-def _empty_tables(model: MicroscopicModel) -> HeightTables:
+def _empty_tables(model: MicroscopicModel, n_ps: int = 1) -> HeightTables:
     """Empty DP tables for ``model``, whose counts must fit :data:`TABLE_DTYPE`."""
     if model.n_resources * model.n_slices >= np.iinfo(TABLE_DTYPE).max:
         raise ValueError(
             f"|S| * |T| = {model.n_resources * model.n_slices} cells exceed the "
             f"{np.dtype(TABLE_DTYPE).name} aggregate counts of the DP tables"
         )
-    return HeightTables(model.hierarchy.height_plan, model.n_slices)
+    return HeightTables(model.hierarchy.height_plan, model.n_slices, n_ps)
+
+
+def _trade_offs(ps: Sequence[float]) -> np.ndarray:
+    """``ps`` as a float64 array, every value checked to lie in ``[0, 1]``."""
+    values = np.array([float(p) for p in ps], dtype=np.float64)
+    for p in values.tolist():
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"p must be in [0, 1], got {p}")
+    return values
 
 
 def _no_cut(n_slices: int) -> np.ndarray:
     """The "no cut" default cut table: ``j`` on the upper triangle, 0 below."""
     return np.triu(np.arange(n_slices, dtype=TABLE_DTYPE))
+
+
+def _rows(index: np.ndarray, a: int, b: int, offset: int = 0) -> "slice | np.ndarray":
+    """``index[a:b] - offset``, increasing, as a slice when the rows are consecutive.
+
+    Slicing reads and updates views, where an index array would copy.
+    """
+    first, last = index.item(a) - offset, index.item(b - 1) - offset
+    if last - first == b - a - 1:
+        return slice(first, last + 1)
+    return index[a:b] - offset
 
 
 def _find_node(root: HierarchyNode, index: int) -> HierarchyNode:
@@ -228,9 +296,9 @@ def _init_worker(
 
 
 def _subtree_worker(
-    p: float, node_index: int
+    ps: np.ndarray, node_index: int
 ) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Process-pool entry point: the tables of one hierarchy subtree.
+    """Process-pool entry point: the tables of one hierarchy subtree at ``ps``.
 
     Returns ``(height, slots, pic, cut, count)`` per height of the subtree,
     ready for :meth:`HeightTables.store` in the parent.
@@ -240,15 +308,15 @@ def _subtree_worker(
     model = aggregator.model
     subtree_root = _find_node(model.hierarchy.root, node_index)
     plan = model.hierarchy.height_plan.restrict(subtree_root.iter_subtree("post"))
-    tables = _empty_tables(model)
-    aggregator._solve(plan, p, tables)
+    tables = _empty_tables(model, len(ps))
+    aggregator._solve(plan, ps, tables)
     return [
         (
             height,
             level.slots,
-            tables.pic[height][level.slots],
-            tables.cut[height][level.slots],
-            tables.count[height][level.slots],
+            tables.pic[height][:, level.slots],
+            tables.cut[height][:, level.slots],
+            tables.count[height][:, level.slots],
         )
         for height, level in enumerate(plan.levels)
         if level.nodes
@@ -381,23 +449,27 @@ class SpatiotemporalAggregator:
             if level.nodes:
                 self._stats.height_tables(height, level.nodes)
 
-    def _solve(self, plan: HeightPlan, p: float, tables: HeightTables) -> None:
-        """Add the optimal tables of the nodes of ``plan`` to ``tables``.
+    def _solve(self, plan: HeightPlan, ps: np.ndarray, tables: HeightTables) -> None:
+        """Add the optimal tables of the nodes of ``plan`` at ``ps`` to ``tables``.
 
-        One pass per height, each over the ``(N, T, T)`` slabs of the
-        height's nodes: base tables ``p * gain - (1 - p) * loss``, the
-        children's merge and spatial-cut test, then the temporal-cut sweep.
-        Children outside ``plan`` must already be in ``tables``.
+        One pass per height, each over the ``(P, N, T, T)`` slabs of the
+        height's nodes at the ``P`` values: base tables ``p * gain - (1 - p)
+        * loss``, the children's merge and spatial-cut test, then the
+        temporal-cut sweep over all ``P * N`` rows.  Children outside
+        ``plan`` must already be in ``tables``.
         """
         n_slices = self._model.n_slices
+        n_ps = len(ps)
+        weights = ps.reshape(n_ps, 1, 1, 1)
         no_cut = _no_cut(n_slices)
-        chunk = max(1, kernels.SWEEP_BATCH_BYTES // (n_slices * n_slices * _MERGE_CELL_BYTES))
+        cell_bytes = n_ps * n_slices * n_slices * _MERGE_CELL_BYTES
+        chunk = max(1, kernels.SWEEP_BATCH_BYTES // cell_bytes)
         for height, level in enumerate(plan.levels):
             n_nodes = len(level.nodes)
             if not n_nodes:
                 continue
             gain, loss = self._stats.height_tables(height, level.nodes)
-            shape = (n_nodes, n_slices, n_slices)
+            shape = (n_ps, n_nodes, n_slices, n_slices)
             best = np.empty(shape)
             cut = np.empty(shape, dtype=TABLE_DTYPE)
             cut[...] = no_cut
@@ -405,13 +477,26 @@ class SpatiotemporalAggregator:
             for lo in range(0, n_nodes, chunk):
                 hi = min(lo + chunk, n_nodes)
                 rows = slice(lo, hi) if level.slots is None else level.slots[lo:hi]
-                np.multiply(gain[rows], p, out=best[lo:hi])
-                np.subtract(best[lo:hi], (1.0 - p) * loss[rows], out=best[lo:hi])
+                np.multiply(gain[rows], weights, out=best[:, lo:hi])
+                np.subtract(best[:, lo:hi], (1.0 - weights) * loss[rows], out=best[:, lo:hi])
                 if level.merges:
                     self._spatial_cuts(
-                        level.merges, lo, hi, tables, best[lo:hi], cut[lo:hi], count[lo:hi]
+                        level.merges,
+                        lo,
+                        hi,
+                        tables,
+                        best[:, lo:hi],
+                        cut[:, lo:hi],
+                        count[:, lo:hi],
                     )
-            kernels.temporal_cuts(best, cut, count, self._epsilon, kernel=self._kernel)
+            sweep_shape = (n_ps * n_nodes, n_slices, n_slices)
+            kernels.temporal_cuts(
+                best.reshape(sweep_shape),
+                cut.reshape(sweep_shape),
+                count.reshape(sweep_shape),
+                self._epsilon,
+                kernel=self._kernel,
+            )
             tables.store(height, level.slots, best, cut, count)
 
     def _spatial_cuts(
@@ -426,18 +511,20 @@ class SpatiotemporalAggregator:
     ) -> None:
         """Apply the spatial cut to the parents ``lo:hi`` of a level, in place.
 
-        ``best``/``cut``/``count`` are those parents' rows, holding the no-cut
-        tables.  The children's sums start from zero and add one child rank
-        at a time, so every parent gets ``((0 + c1) + c2) + ...`` in the
-        order of its children.
+        ``best``/``cut``/``count`` are those parents' ``(P, c, T, T)`` rows,
+        holding the no-cut tables.  The children's sums start from zero and
+        add one child rank at a time, so every parent gets ``((0 + c1) + c2)
+        + ...`` in the order of its children, at every value.
         """
         children_sum = np.zeros(best.shape)
         children_count = np.zeros(count.shape, dtype=count.dtype)
         for parents, source, children in merges:
-            a, b = np.searchsorted(parents, (lo, hi))
-            at = parents[a:b] - lo
-            children_sum[at] += tables.pic[source][children[a:b]]
-            children_count[at] += tables.count[source][children[a:b]]
+            a, b = np.searchsorted(parents, (lo, hi)).tolist()
+            if a == b:
+                continue
+            at, rows = _rows(parents, a, b, lo), _rows(children, a, b)
+            children_sum[:, at] += tables.pic[source][:, rows]
+            children_count[:, at] += tables.count[source][:, rows]
         epsilon = self._epsilon
         spatial_better = (children_sum > best + epsilon) | (
             (children_sum > best - epsilon) & (children_count < count)
@@ -454,27 +541,43 @@ class SpatiotemporalAggregator:
         default; any value above 1 computes independent hierarchy subtrees
         in a process pool before merging at their ancestors.
         """
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"p must be in [0, 1], got {p}")
+        return self._compute(_trade_offs([p]), jobs)
+
+    def _compute(self, ps: np.ndarray, jobs: int | None) -> HeightTables:
+        """The tables of every node at the checked values ``ps``, solved together."""
         jobs = self._jobs if jobs is None else jobs
         frontier, plan = self._split(jobs)
-        tables = _empty_tables(self._model)
+        tables = _empty_tables(self._model, len(ps))
         if frontier:
-            self._solve_subtrees(frontier, p, int(jobs), tables)
-        self._solve(plan, p, tables)
+            self._solve_subtrees(frontier, ps, int(jobs), tables)
+        self._solve(plan, ps, tables)
         return tables
 
+    def _batches(self, ps: Sequence[float]) -> Iterator[tuple[np.ndarray, HeightTables]]:
+        """``(values, tables)`` of ``ps`` in order, as many values per solve as fit.
+
+        A batch holds as many values as keep its tables within
+        :data:`repro.core.kernels.SWEEP_BATCH_BYTES`, and at least one.
+        """
+        values = _trade_offs(ps)
+        n_nodes = len(self._model.hierarchy.height_plan.height)
+        value_bytes = n_nodes * self._model.n_slices**2 * _TABLE_CELL_BYTES
+        size = max(1, kernels.SWEEP_BATCH_BYTES // value_bytes)
+        for lo in range(0, len(values), size):
+            batch = values[lo : lo + size]
+            yield batch, self._compute(batch, None)
+
     def _solve_subtrees(
-        self, frontier: Sequence[HierarchyNode], p: float, jobs: int, tables: HeightTables
+        self, frontier: Sequence[HierarchyNode], ps: np.ndarray, jobs: int, tables: HeightTables
     ) -> None:
-        """Solve the ``frontier`` subtrees over a process pool into ``tables``."""
+        """Solve the ``frontier`` subtrees at ``ps`` over a process pool into ``tables``."""
         try:
             with ProcessPoolExecutor(
                 max_workers=min(jobs, len(frontier)),
                 initializer=_init_worker,
                 initargs=(self._model, self._operator, self._epsilon, self._kernel),
             ) as pool:
-                futures = [pool.submit(_subtree_worker, p, node.index) for node in frontier]
+                futures = [pool.submit(_subtree_worker, ps, node.index) for node in frontier]
                 for future in futures:
                     for rows in future.result():
                         tables.store(*rows)
@@ -501,7 +604,7 @@ class SpatiotemporalAggregator:
         sentinel = np.iinfo(TABLE_DTYPE).max
         tables = _empty_tables(self._model)
         for height, level in enumerate(tables.plan.levels):
-            shape = (len(level.nodes), n_slices, n_slices)
+            shape = (1, len(level.nodes), n_slices, n_slices)
             tables.store(
                 height,
                 None,
@@ -574,34 +677,92 @@ class SpatiotemporalAggregator:
         )
 
     def run_many(self, ps: Sequence[float]) -> dict[float, Partition]:
-        """Run the aggregation for several trade-off values (tables are shared)."""
-        return {p: self.run(p) for p in ps}
+        """The optimal partition at every ``p`` of ``ps``, solved in batches."""
+        ps = list(ps)
+        solved = (tables.at(q) for _, tables in self._batches(ps) for q in range(tables.n_ps))
+        return {p: self.partition(tables, p) for p, tables in zip(ps, solved)}
+
+    def quality(self, ps: Sequence[float]) -> list[QualityPoint]:
+        """Size, gain and loss of the optimal partition at every ``p`` of ``ps``.
+
+        Equal, bit for bit, to each ``run(p)``'s ``size``, ``gain()`` and
+        ``loss()``, but solved in batches and read from the cut tables
+        without building partitions: each value's aggregates are sorted as
+        :class:`~repro.core.partition.Partition` sorts them and totalled by
+        the same :meth:`~repro.core.criteria.IntervalStatistics.gain_loss_totals`
+        summation.
+        """
+        points: list[QualityPoint] = []
+        leaf_start, leaf_end = self._node_arrays.leaf_start, self._node_arrays.leaf_end
+        for values, tables in self._batches(ps):
+            value, node, i, j = np.array(self._walk(tables), dtype=np.intp).T
+            order = np.lexsort((j, leaf_end[node], i, leaf_start[node], value))
+            value, node, i, j = value[order], node[order], i[order], j[order]
+            gains, losses = self._stats.gain_loss_cells(node, i, j)
+            gains, losses = gains.tolist(), losses.tolist()
+            bounds = np.searchsorted(value, np.arange(len(values) + 1)).tolist()
+            for q, p in enumerate(values.tolist()):
+                a, b = bounds[q], bounds[q + 1]
+                points.append(
+                    QualityPoint(p=p, size=b - a, gain=sum(gains[a:b]), loss=sum(losses[a:b]))
+                )
+        return points
+
+    @cached_property
+    def _node_arrays(self) -> "_NodeArrays":
+        return _NodeArrays(self._model.hierarchy)
 
     def _recover(self, tables: HeightTables) -> list[Aggregate]:
         """Replay the cut sequence from the root over the whole time span."""
-        n_slices = self._model.n_slices
+        nodes = self._node_arrays.nodes
+        return [Aggregate(nodes[node], i, j) for _, node, i, j in self._walk(tables)]
+
+    def _walk(self, tables: HeightTables) -> list[tuple[int, int, int, int]]:
+        """The aggregates of every value of ``tables``, as ``(value, node, i, j)``.
+
+        Replays each value's cut sequence from the root over the whole time
+        span: an area kept whole is an aggregate, a spatial cut replaces it
+        by its children's areas, a temporal cut by its two halves.
+        """
         height, slot = tables.plan.height, tables.plan.slot
+        children = self._node_arrays.children
         cuts = tables.cut
-        aggregates: list[Aggregate] = []
-        stack: list[tuple[HierarchyNode, int, int]] = [
-            (self._model.hierarchy.root, 0, n_slices - 1)
-        ]
-        while stack:
-            node, i, j = stack.pop()
-            cut = cuts[height[node.index]].item(slot[node.index], i, j)
-            if cut == j:
-                aggregates.append(Aggregate(node, i, j))
-            elif cut == SPATIAL_CUT:
-                for child in node.children:
-                    stack.append((child, i, j))
-            else:
-                if not i <= cut < j:  # pragma: no cover - defensive
-                    raise RuntimeError(
-                        f"invalid cut value {cut} for interval ({i}, {j}) on node {node.name!r}"
-                    )
-                stack.append((node, i, cut))
-                stack.append((node, cut + 1, j))
-        return aggregates
+        root, last = self._model.hierarchy.root.index, self._model.n_slices - 1
+        found: list[tuple[int, int, int, int]] = []
+        for q in range(tables.n_ps):
+            stack = [(root, 0, last)]
+            while stack:
+                node, i, j = stack.pop()
+                cut = cuts[height[node]].item(q, slot[node], i, j)
+                if cut == j:
+                    found.append((q, node, i, j))
+                elif cut == SPATIAL_CUT:
+                    stack.extend((child, i, j) for child in children[node])
+                else:
+                    if not i <= cut < j:  # pragma: no cover - defensive
+                        raise RuntimeError(
+                            f"invalid cut value {cut} for interval ({i}, {j}) on node "
+                            f"{self._node_arrays.nodes[node].name!r}"
+                        )
+                    stack.append((node, i, cut))
+                    stack.append((node, cut + 1, j))
+        return found
+
+
+class _NodeArrays:
+    """The hierarchy indexed by node index, for recovering aggregates from cuts.
+
+    ``nodes[k]`` is the node with index ``k``, ``children[k]`` its
+    children's indices in order, and ``leaf_start``/``leaf_end`` the leaf
+    ranges as arrays.
+    """
+
+    def __init__(self, hierarchy: Hierarchy):
+        nodes = sorted(hierarchy.iter_nodes(), key=lambda node: node.index)
+        self.nodes: tuple[HierarchyNode, ...] = tuple(nodes)
+        self.children = tuple(tuple(child.index for child in node.children) for node in nodes)
+        self.leaf_start = np.array([node.leaf_start for node in nodes], dtype=np.intp)
+        self.leaf_end = np.array([node.leaf_end for node in nodes], dtype=np.intp)
 
 
 def aggregate_spatiotemporal(
