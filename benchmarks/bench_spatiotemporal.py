@@ -26,14 +26,21 @@ depth's new values in one DP over ``(P, N, T, T)`` slabs.  It runs on a
 2-slice window of a 64-resource model and on a whole 30-slice model, diffs
 the two searches' points bit for bit, and gates ``search_speedup`` (per-p
 seconds over batched seconds, best per-call time over samples of at least
-20 ms).
+20 ms).  Where the ``c`` tier builds, each search row also times
+:meth:`~repro.core.spatiotemporal.SpatiotemporalAggregator.quality` over
+every value the search solved on each tier, diffs the two tiers' points bit
+for bit, and gates ``walk_ratio`` (``numpy`` seconds over ``c`` seconds).
+On the 2-slice window the sweep is one cell per node, so the ratio is the
+cut replay's (the Python walk against ``walk_int32``); on the whole 30-slice
+model it also carries the sweep's ``kernel_ratio``.
 
 Results are written as ``BENCH_spatiotemporal.json`` (at the repository root
 by default), seeding the performance trajectory.  CI runs the ``--smoke``
 grid and gates regressions with ``--check-against``: the comparison uses
 ratios (same-runner, stable across hardware), never absolute wall-clock.
-``kernel_ratio`` fails the gate when the ``c`` tier slows down; it is
-skipped, with a warning, where the ``c`` tier cannot be built.
+``kernel_ratio`` and ``walk_ratio`` fail the gate when the ``c`` tier slows
+down; they are skipped, with a warning, where the ``c`` tier cannot be
+built.
 
 Usage::
 
@@ -269,9 +276,11 @@ class Batched:
     def __init__(self, aggregator: SpatiotemporalAggregator) -> None:
         self.aggregator = aggregator
         self.requests = 0
+        self.solved: list[float] = []
 
     def quality(self, ps):
         self.requests += 1
+        self.solved.extend(ps)
         return self.aggregator.quality(ps)
 
 
@@ -298,7 +307,7 @@ def bench_search_cell(
     seconds_batched, (points, rounds) = timed_per_call(
         lambda: _search(Batched(aggregator)), repeats
     )
-    return {
+    row = {
         "resources": n_resources,
         "slices": n_slices,
         "window": window,
@@ -313,6 +322,17 @@ def bench_search_cell(
         "search_speedup": round(seconds_per_p / seconds_batched, 3),
         "points_identical": _point_bits(points) == _point_bits(oracle),
     }
+    if "c" in available_kernels():
+        seconds, curves = {}, {}
+        for tier in ("numpy", "c"):
+            tiered = SpatiotemporalAggregator(searched, stats=aggregator.stats, kernel=tier)
+            seconds[tier], curves[tier] = timed_per_call(
+                lambda: tiered.quality(rounds.solved), repeats
+            )
+            row[f"seconds_quality_{tier}"] = round(seconds[tier], 6)
+        row["walk_ratio"] = round(seconds["numpy"] / seconds["c"], 3)
+        row["walk_identical"] = _point_bits(curves["numpy"]) == _point_bits(curves["c"])
+    return row
 
 
 def check_regression(
@@ -324,11 +344,14 @@ def check_regression(
 ) -> int:
     """Compare the ratios against a committed baseline; 0 when acceptable."""
     c_tier = "c" in available_kernels()
-    kernel_ratio = GateMetric(
-        "kernel_ratio", max_regression=max_regression,
-        active=c_tier, note="" if c_tier else "c tier unavailable: no C compiler",
+    kernel_ratio, walk_ratio = (
+        GateMetric(
+            name, max_regression=max_regression,
+            active=c_tier, note="" if c_tier else "c tier unavailable: no C compiler",
+        )
+        for name in ("kernel_ratio", "walk_ratio")
     )
-    warn_skipped_gates([kernel_ratio])
+    warn_skipped_gates([kernel_ratio, walk_ratio])
     code = check_ratio_regression(
         results,
         baseline_path,
@@ -353,7 +376,7 @@ def check_regression(
                 search_results,
                 baseline_path,
                 key_fields=("resources", "slices", "window"),
-                metrics=[GateMetric("search_speedup", max_regression=max_regression)],
+                metrics=[GateMetric("search_speedup", max_regression=max_regression), walk_ratio],
                 results_key="search_results",
             ),
         )
@@ -446,9 +469,16 @@ def main(argv: "list[str] | None" = None) -> int:
             f"values={row['values']} dp_runs={row['dp_runs']} rounds={row['rounds']} "
             f"per_p={row['seconds_per_p'] * 1e3:.1f}ms batched={row['seconds_batched'] * 1e3:.1f}ms "
             f"speedup={row['search_speedup']:.2f}x identical={row['points_identical']}"
+            + (
+                f" walk_ratio={row['walk_ratio']:.2f}x identical={row['walk_identical']}"
+                if "walk_ratio" in row else ""
+            )
         )
         if not row["points_identical"]:
             print("FATAL: the batched search diverges from the per-p search", file=sys.stderr)
+            return 1
+        if not row.get("walk_identical", True):
+            print("FATAL: the kernel tiers' quality points diverge", file=sys.stderr)
             return 1
         search_results.append(row)
 

@@ -42,6 +42,13 @@ coarsest-partition tie-break — and are **bit-identical by construction**
     recently used ones of this user.  Loaded through :mod:`ctypes`, once
     per process; the call releases the GIL.
 
+    The same library holds the tier's cut replay, ``walk_int32``
+    (:class:`CutReplay`): the stack walk that turns the ``cut`` slabs
+    back into every value's aggregates, in the pop order of the Python walk
+    (``SpatiotemporalAggregator._walk``, the ``numpy`` tier's replay).  It
+    only moves integers, so both tiers' aggregates are equal element for
+    element.  A library without it is never loaded.
+
 Selection: the ``REPRO_KERNEL`` environment variable (``numpy`` | ``c`` |
 ``auto``), overridden per-run by ``repro … --kernel`` (which calls
 :func:`set_default_kernel`, also exporting the choice to child worker
@@ -61,8 +68,9 @@ import subprocess
 import tempfile
 import threading
 import time
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict
+from typing import Callable, Dict, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -79,6 +87,7 @@ __all__ = [
     "temporal_cuts",
     "temporal_cuts_numpy",
     "temporal_cuts_c",
+    "CutReplay",
     "numba_available",
 ]
 
@@ -134,12 +143,18 @@ def numba_available() -> bool:
 #: Every change of ``sweep.c``, :data:`C_FLAGS` or the compiler adds one.
 CACHE_KEEP = 4
 
-#: The ``c`` tier's sweep functions, keyed by the dtype of ``count``.
-_Sweeps = Dict[np.dtype, Callable[..., None]]
 
-#: The loaded ``c`` sweeps, or why the tier is unavailable; ``None`` until
+@dataclass(frozen=True)
+class _Library:
+    """The loaded ``c`` library: the sweeps keyed by ``count``'s dtype, and the replay."""
+
+    sweeps: Dict[np.dtype, Callable[..., None]]
+    walk: Callable[..., int]
+
+
+#: The loaded ``c`` library, or why the tier is unavailable; ``None`` until
 #: the first use in this process.
-_C_SWEEPS: "_Sweeps | str | None" = None
+_C_LIBRARY: "_Library | str | None" = None
 _C_LOCK = threading.Lock()
 
 
@@ -179,8 +194,12 @@ def _library_key(compiler: str, source: bytes) -> str:
     return _digest(b"\0".join([source, " ".join(C_FLAGS).encode(), version]))
 
 
-def _open(path: Path) -> "_Sweeps | None":
-    """Load ``path`` if it is private and its bytes match the digest in its name."""
+def _open(path: Path) -> "_Library | None":
+    """Load ``path`` if it is private, matches the digest in its name and is complete.
+
+    Complete: it has every function of the tier (a library missing one is
+    never loaded).
+    """
     if not _private(path.parent, stat.S_IFDIR) or not _private(path, stat.S_IFREG):
         return None
     try:
@@ -197,7 +216,15 @@ def _open(path: Path) -> "_Sweeps | None":
         sweep.restype = None
         sweep.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 5 + [ctypes.c_double, integer]
         sweeps[np.dtype(dtype)] = sweep
-    return sweeps
+    walk = getattr(library, "walk_int32", None)
+    if walk is None:
+        return None
+    walk.restype = ctypes.c_int64
+    walk.argtypes = (
+        [ctypes.c_int64] * 5 + [ctypes.c_void_p] * 3
+        + [ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64]
+    )
+    return _Library(sweeps, walk)
 
 
 def _build(compiler: str, source: bytes, key: str, directory: Path) -> "Path | str":
@@ -221,8 +248,8 @@ def _build(compiler: str, source: bytes, key: str, directory: Path) -> "Path | s
     return path
 
 
-def _open_built(built: "Path | str") -> "_Sweeps | str":
-    """Load what :func:`_build` returned; the sweeps or an error text."""
+def _open_built(built: "Path | str") -> "_Library | str":
+    """Load what :func:`_build` returned; the library or an error text."""
     if isinstance(built, str):
         return built
     return _open(built) or f"the built library {built} could not be loaded"
@@ -256,8 +283,8 @@ def _prune(cache: Path, loaded: Path) -> None:
             pass
 
 
-def _load_c_sweeps() -> "_Sweeps | str":
-    """Find or build the ``c`` tier's library; the sweeps or why there are none."""
+def _load_c_library() -> "_Library | str":
+    """Find or build the ``c`` tier's library; the library or why there is none."""
     if os.name != "posix":
         return "the c tier needs a POSIX system"
     compiler = _compiler()
@@ -273,16 +300,16 @@ def _load_c_sweeps() -> "_Sweeps | str":
             pass
         if _private(cache, stat.S_IFDIR):
             for path in sorted(cache.glob(f"sweep-{key}-*.so")):
-                sweeps = _open(path)
-                if sweeps is not None:
+                library = _open(path)
+                if library is not None:
                     _prune(cache, path)
-                    return sweeps
+                    return library
             if os.access(cache, os.W_OK):
                 built = _build(compiler, source, key, cache)
-                sweeps = _open_built(built)
-                if isinstance(sweeps, dict):
+                library = _open_built(built)
+                if isinstance(library, _Library):
                     _prune(cache, built)
-                return sweeps
+                return library
         # No usable cache: build in a private directory, removed once loaded.
         with tempfile.TemporaryDirectory(prefix="repro-sweep-") as private:
             return _open_built(_build(compiler, source, key, Path(private)))
@@ -290,13 +317,21 @@ def _load_c_sweeps() -> "_Sweeps | str":
         return f"building {_C_SOURCE.name} failed: {exc}"
 
 
-def _c_sweeps() -> "_Sweeps | str":
-    """The ``c`` tier's sweeps (built and loaded once per process), or why not."""
-    global _C_SWEEPS
+def _c_library() -> "_Library | str":
+    """The ``c`` tier's library (built and loaded once per process), or why not."""
+    global _C_LIBRARY
     with _C_LOCK:
-        if _C_SWEEPS is None:
-            _C_SWEEPS = _load_c_sweeps()
-        return _C_SWEEPS
+        if _C_LIBRARY is None:
+            _C_LIBRARY = _load_c_library()
+        return _C_LIBRARY
+
+
+def _loaded_c_library() -> _Library:
+    """The ``c`` tier's library, or :class:`KernelUnavailableError`."""
+    library = _c_library()
+    if not isinstance(library, _Library):
+        raise KernelUnavailableError(f"kernel 'c' is unavailable ({library})")
+    return library
 
 
 # --------------------------------------------------------------------------- #
@@ -304,7 +339,7 @@ def _c_sweeps() -> "_Sweeps | str":
 # --------------------------------------------------------------------------- #
 def available_kernels() -> tuple[str, ...]:
     """The kernel tiers runnable in this environment."""
-    return KERNELS if isinstance(_c_sweeps(), dict) else ("numpy",)
+    return KERNELS if isinstance(_c_library(), _Library) else ("numpy",)
 
 
 def default_kernel() -> str:
@@ -316,7 +351,7 @@ def default_kernel() -> str:
     requested = os.environ.get(KERNEL_ENV, "").strip().lower()
     if requested and requested != "auto":
         return resolve_kernel(requested)
-    return "c" if isinstance(_c_sweeps(), dict) else "numpy"
+    return "c" if isinstance(_c_library(), _Library) else "numpy"
 
 
 def resolve_kernel(kernel: "str | None") -> str:
@@ -331,10 +366,10 @@ def resolve_kernel(kernel: "str | None") -> str:
             f"unknown kernel {kernel!r} (choose from {', '.join(KERNELS)}, auto)"
         )
     if name == "c":
-        sweeps = _c_sweeps()
-        if not isinstance(sweeps, dict):
+        library = _c_library()
+        if not isinstance(library, _Library):
             raise KernelUnavailableError(
-                f"kernel 'c' requested but the C sweep is unavailable ({sweeps}); "
+                f"kernel 'c' requested but the C sweep is unavailable ({library}); "
                 "use --kernel numpy"
             )
     return name
@@ -451,9 +486,7 @@ def temporal_cuts_c(
     dtype on the way); other integer dtypes run the numpy tier.  Slabs that
     are not C-contiguous, or not of those dtypes, are copied in and back.
     """
-    sweeps = _c_sweeps()
-    if not isinstance(sweeps, dict):
-        raise KernelUnavailableError(f"kernel 'c' is unavailable ({sweeps})")
+    sweeps = _loaded_c_library().sweeps
     best, cut, count = _slab(best), _slab(cut), _slab(count)
     if not (best.ndim == 3 and best.shape == cut.shape == count.shape
             and best.shape[1] == best.shape[2]):
@@ -484,6 +517,74 @@ def temporal_cuts_c(
     for table, array in zip(tables, work):
         if array is not table:
             table[...] = array
+
+
+class CutReplay:
+    """The compiled cut replay of ``sweep.c`` over one hierarchy.
+
+    ``rows[h]`` is the number of nodes of height ``h``; node ``k`` sits in
+    row ``slot[k]`` of height ``height[k]`` and has the children
+    ``children[k]``, in order.  Built once per hierarchy (the packed index
+    is kept), called once per batch of values.
+    """
+
+    def __init__(
+        self,
+        root: int,
+        rows: Sequence[int],
+        height: Sequence[int],
+        slot: Sequence[int],
+        children: Sequence[Sequence[int]],
+    ):
+        self._root = root
+        self._rows = tuple(rows)
+        self._n_nodes = len(height)
+        self._n_leaves = sum(1 for kids in children if not kids)
+        child_start = np.cumsum([0, *(len(kids) for kids in children)])
+        child = [kid for kids in children for kid in kids]
+        self._index = np.concatenate([rows, height, slot, child_start, child]).astype(np.intp)
+
+    def __call__(
+        self, cuts: Sequence[np.ndarray]
+    ) -> "tuple[np.ndarray, tuple[int, ...] | None]":
+        """Every value's aggregates under the ``(P, N_h, T, T)`` int32 ``cuts[h]``.
+
+        Each value's walk starts from ``(root, 0, T - 1)``.  The areas of
+        one walk are disjoint, so it meets at most ``|S| * |T|`` of them
+        (the microscopic cells), which sizes its buffers.
+
+        Returns ``(found, bad)``: ``found`` is a ``(4, size)`` intp array
+        whose rows are the value, node, start and end of every aggregate, in
+        the pop order of the Python walk; ``bad`` is ``None``, or the
+        ``(value, node, i, j, cut)`` of the first invalid cut met (``found``
+        is then empty).  The buffers are sized for the bound with
+        :func:`numpy.empty` and filled from their start, so the pages the
+        walk never writes cost no memory.
+        """
+        if len(cuts) != len(self._rows):
+            raise ValueError(f"expected {len(self._rows)} cut slabs, got {len(cuts)}")
+        slabs = [np.ascontiguousarray(slab) for slab in cuts]
+        n_ps, _, _, n_slices = slabs[0].shape
+        for slab, rows in zip(slabs, self._rows):
+            if slab.dtype != np.int32 or slab.shape != (n_ps, rows, n_slices, n_slices):
+                raise ValueError(
+                    f"expected int32 cut slabs of shape {(n_ps, rows, n_slices, n_slices)}, "
+                    f"got {slab.dtype} {slab.shape}"
+                )
+        pointers = (ctypes.c_void_p * len(slabs))(*(slab.ctypes.data for slab in slabs))
+        n_cells = self._n_leaves * n_slices
+        # Room for the bound, and for the five entries of an invalid cut.
+        found = np.empty((max(n_ps * n_cells, 2), 4), dtype=np.intp)
+        stack = np.empty((n_cells, 3), dtype=np.intp)
+        size = _loaded_c_library().walk(
+            n_ps, n_slices, self._root, len(self._rows), self._n_nodes, pointers,
+            self._index.ctypes.data, found.ctypes.data, len(found), stack.ctypes.data, n_cells,
+        )
+        if size == -1:
+            return found[:0].T, tuple(found.flat[:5].tolist())
+        if size < 0:
+            raise RuntimeError("cut replay: the cut slabs do not match the hierarchy")
+        return found[:size].T, None
 
 
 _SWEEPS = {"numpy": temporal_cuts_numpy, "c": temporal_cuts_c}

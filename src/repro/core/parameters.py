@@ -126,15 +126,16 @@ def significant_points(
         aggregator = SpatiotemporalAggregator(aggregator, operator=operator)
     evaluate = _evaluator(aggregator)
     solved: dict[float, QualityPoint] = {}
+    # Each solved value's (rounded gain, rounded loss, size), computed once.
+    signature: dict[float, tuple[float, float, int]] = {}
 
     def solve(ps: Sequence[float]) -> None:
         new = [p for p in dict.fromkeys(ps) if p not in solved]
-        if new:
-            solved.update((point.p, point) for point in evaluate(new))
-
-    def signature(p: float) -> tuple[float, float, int]:
-        point = solved[p]
-        return (round(point.gain, 9), round(point.loss, 9), point.size)
+        if not new:
+            return
+        for point in evaluate(new):
+            solved[point.p] = point
+            signature[point.p] = (round(point.gain, 9), round(point.loss, 9), point.size)
 
     # Breadth-first bisection: each depth splits the intervals whose
     # endpoints differ and solves all their midpoints in one batch.
@@ -144,7 +145,7 @@ def significant_points(
         split = [
             (lo, hi)
             for lo, hi in intervals
-            if hi - lo > tolerance and signature(lo) != signature(hi)
+            if hi - lo > tolerance and signature[lo] != signature[hi]
         ]
         if not split:
             break
@@ -158,8 +159,7 @@ def significant_points(
     significant: list[QualityPoint] = []
     last_signature: tuple[float, float, int] | None = None
     for p in sorted(solved):
-        sig = signature(p)
-        if sig != last_signature:
+        if signature[p] != last_signature:
             significant.append(solved[p])
-            last_signature = sig
+            last_signature = signature[p]
     return significant

@@ -69,7 +69,12 @@ value per batch), and :meth:`~SpatiotemporalAggregator.compute_tables` is
 the one-value case.
 
 The optimal partition is recovered by replaying the cuts, read from the
-per-height ``cut`` slabs, from the root and the whole time span.
+per-height ``cut`` slabs, from the root and the whole time span.  The replay
+follows the aggregator's kernel tier: the ``c`` tier walks every value of a
+batch in compiled code (``walk_int32`` in ``sweep.c``), the ``numpy`` tier
+runs the Python stack walk :meth:`SpatiotemporalAggregator._walk`, its
+reference.  Both only move integers (cuts, node indices, slice bounds) and
+list the aggregates in the same order, so the tier changes no bit.
 """
 
 from __future__ import annotations
@@ -695,7 +700,7 @@ class SpatiotemporalAggregator:
         points: list[QualityPoint] = []
         leaf_start, leaf_end = self._node_arrays.leaf_start, self._node_arrays.leaf_end
         for values, tables in self._batches(ps):
-            value, node, i, j = np.array(self._walk(tables), dtype=np.intp).T
+            value, node, i, j = self._replay(tables)
             order = np.lexsort((j, leaf_end[node], i, leaf_start[node], value))
             value, node, i, j = value[order], node[order], i[order], j[order]
             gains, losses = self._stats.gain_loss_cells(node, i, j)
@@ -712,17 +717,53 @@ class SpatiotemporalAggregator:
     def _node_arrays(self) -> "_NodeArrays":
         return _NodeArrays(self._model.hierarchy)
 
+    @cached_property
+    def _cut_replay(self) -> kernels.CutReplay:
+        """The ``c`` tier's replay over the hierarchy's height plan, which all tables use."""
+        hierarchy = self._model.hierarchy
+        plan = hierarchy.height_plan
+        return kernels.CutReplay(
+            hierarchy.root.index,
+            [len(level.nodes) for level in plan.levels],
+            plan.height,
+            plan.slot,
+            self._node_arrays.children,
+        )
+
     def _recover(self, tables: HeightTables) -> list[Aggregate]:
         """Replay the cut sequence from the root over the whole time span."""
         nodes = self._node_arrays.nodes
-        return [Aggregate(nodes[node], i, j) for _, node, i, j in self._walk(tables)]
+        _, node, i, j = (row.tolist() for row in self._replay(tables))
+        return [Aggregate(nodes[k], a, b) for k, a, b in zip(node, i, j)]
+
+    def _replay(self, tables: HeightTables) -> np.ndarray:
+        """:meth:`_walk`'s aggregates as a ``(4, size)`` intp array, in its order.
+
+        The rows are the value, node, start and end of every aggregate.  The
+        ``c`` tier replays in compiled code, the ``numpy`` tier runs
+        :meth:`_walk`; a bad cut raises the same error on both.
+        """
+        if self._kernel != "c":
+            return np.array(self._walk(tables), dtype=np.intp).reshape(-1, 4).T
+        found, bad = self._cut_replay(tables.cut)
+        if bad is not None:
+            _, node, i, j, cut = bad
+            raise RuntimeError(self._invalid_cut(cut, i, j, node))
+        return found
+
+    def _invalid_cut(self, cut: int, i: int, j: int, node: int) -> str:
+        return (
+            f"invalid cut value {cut} for interval ({i}, {j}) on node "
+            f"{self._node_arrays.nodes[node].name!r}"
+        )
 
     def _walk(self, tables: HeightTables) -> list[tuple[int, int, int, int]]:
         """The aggregates of every value of ``tables``, as ``(value, node, i, j)``.
 
         Replays each value's cut sequence from the root over the whole time
         span: an area kept whole is an aggregate, a spatial cut replaces it
-        by its children's areas, a temporal cut by its two halves.
+        by its children's areas, a temporal cut by its two halves.  The
+        ``numpy`` tier's replay and the reference of the ``c`` tier's.
         """
         height, slot = tables.plan.height, tables.plan.slot
         children = self._node_arrays.children
@@ -739,11 +780,8 @@ class SpatiotemporalAggregator:
                 elif cut == SPATIAL_CUT:
                     stack.extend((child, i, j) for child in children[node])
                 else:
-                    if not i <= cut < j:  # pragma: no cover - defensive
-                        raise RuntimeError(
-                            f"invalid cut value {cut} for interval ({i}, {j}) on node "
-                            f"{self._node_arrays.nodes[node].name!r}"
-                        )
+                    if not i <= cut < j:
+                        raise RuntimeError(self._invalid_cut(cut, i, j, node))
                     stack.append((node, i, cut))
                     stack.append((node, cut + 1, j))
         return found

@@ -101,7 +101,7 @@ class TestSelection:
         self, monkeypatch, random_model
     ):
         monkeypatch.setattr(kernels, "_compiler", lambda: None)
-        monkeypatch.setattr(kernels, "_C_SWEEPS", None)
+        monkeypatch.setattr(kernels, "_C_LIBRARY", None)
         monkeypatch.delenv(kernels.KERNEL_ENV, raising=False)
         assert kernels.available_kernels() == ("numpy",)
         assert kernels.default_kernel() == "numpy"
@@ -121,7 +121,7 @@ class TestSelection:
         self, monkeypatch, capsys
     ):
         monkeypatch.setattr(kernels, "_compiler", lambda: None)
-        monkeypatch.setattr(kernels, "_C_SWEEPS", None)
+        monkeypatch.setattr(kernels, "_C_LIBRARY", None)
         monkeypatch.setenv(kernels.KERNEL_ENV, "auto")
         assert main(["analyze", str(TRACE), "--slices", "8", "--kernel", "c"]) == 2
         err = capsys.readouterr().err
