@@ -10,6 +10,9 @@ guaranteed to describe the same computation.  ``speedup`` is per-cell
 reference seconds over ``numpy`` seconds; ``kernel_ratio`` is ``numpy``
 seconds over ``c`` seconds (whole ``compute_tables``: base tables, merges
 and sweep), each the best per-call time over samples of at least 20 ms.
+The full grid adds two |T| = 128 cells (16 and 64 resources), where the
+compiled sweep loop dominates; ``meta.c_loop`` records which compiled loop
+ran (``avx2`` or ``scalar``).
 
 Beyond the classic grid, the full run times a **large row family**
 (``large_results``): a 1024-resource x 1000-slice microscopic model analyzed
@@ -74,7 +77,7 @@ from common import (  # noqa: E402
     warn_skipped_gates,
 )
 
-from repro.core.kernels import available_kernels  # noqa: E402
+from repro.core.kernels import available_kernels, c_loop  # noqa: E402
 from repro.core.microscopic import MicroscopicModel  # noqa: E402
 from repro.core.parameters import significant_points  # noqa: E402
 from repro.core.spatiotemporal import SpatiotemporalAggregator  # noqa: E402
@@ -82,6 +85,10 @@ from repro.pipeline.window import WindowSpec, resolve_window_bounds  # noqa: E40
 from repro.trace.states import StateRegistry  # noqa: E402
 
 FULL_GRID = {"slices": (20, 40, 60, 80), "resources": (16, 64, 128)}
+#: (slices, resources) cells the full run adds to its grid: |T| = 128, where
+#: the compiled sweep loop dominates ``compute_tables`` (perfbench
+#: ``longspan`` analyzes 64 resources x 128 slices).
+FULL_EXTRA_CELLS = ((128, 16), (128, 64))
 SMOKE_GRID = {"slices": (20, 60), "resources": (16, 64)}
 #: (resources, slices, window_k): the windowed-DP row family over big models.
 #: The per-cell reference is skipped here — at |T|=1000 the unwindowed cubic
@@ -417,28 +424,30 @@ def main(argv: "list[str] | None" = None) -> int:
         [int(v) for v in args.resources.split(",")] if args.resources else list(grid["resources"])
     )
 
+    cells = [(n_slices, n_resources) for n_resources in resources for n_slices in slices]
+    if not (args.smoke or args.slices or args.resources):
+        cells += FULL_EXTRA_CELLS
     results = []
-    for n_resources in resources:
-        for n_slices in slices:
-            row = bench_cell(
-                n_slices, n_resources, args.states, args.parameter,
-                args.repeats, args.jobs, args.seed,
-            )
-            print(
-                f"slices={n_slices:>4} resources={n_resources:>4} "
-                f"percell={row['seconds_percell']:.3f}s "
-                + " ".join(f"{tier}={row[f'seconds_{tier}']:.3f}s" for tier in available_kernels())
-                + f" speedup={row['speedup']:.1f}x"
-                f" kernel_ratio={row.get('kernel_ratio', float('nan')):.2f}x"
-                f" identical={row['tables_identical']}"
-            )
-            if not row["tables_identical"]:
-                print("FATAL: vectorized tables diverge from the reference", file=sys.stderr)
-                return 1
-            if not row["kernels_identical"]:
-                print("FATAL: kernel tiers diverge from the numpy sweep", file=sys.stderr)
-                return 1
-            results.append(row)
+    for n_slices, n_resources in cells:
+        row = bench_cell(
+            n_slices, n_resources, args.states, args.parameter,
+            args.repeats, args.jobs, args.seed,
+        )
+        print(
+            f"slices={n_slices:>4} resources={n_resources:>4} "
+            f"percell={row['seconds_percell']:.3f}s "
+            + " ".join(f"{tier}={row[f'seconds_{tier}']:.3f}s" for tier in available_kernels())
+            + f" speedup={row['speedup']:.1f}x"
+            f" kernel_ratio={row.get('kernel_ratio', float('nan')):.2f}x"
+            f" identical={row['tables_identical']}"
+        )
+        if not row["tables_identical"]:
+            print("FATAL: vectorized tables diverge from the reference", file=sys.stderr)
+            return 1
+        if not row["kernels_identical"]:
+            print("FATAL: kernel tiers diverge from the numpy sweep", file=sys.stderr)
+            return 1
+        results.append(row)
 
     large_results = []
     if args.large or not args.smoke:
@@ -484,7 +493,7 @@ def main(argv: "list[str] | None" = None) -> int:
 
     payload = {
         "benchmark": "spatiotemporal_aggregation",
-        "meta": bench_meta(),
+        "meta": {**bench_meta(), "c_loop": c_loop()},
         "config": {
             "p": args.parameter,
             "states": args.states,

@@ -25,7 +25,17 @@ coarsest-partition tie-break — and are **bit-identical by construction**
     minimal count among the epsilon-eligible cuts), node by node, reading the
     right operand through transposed mirrors so both operands are
     row-contiguous.  It performs the same IEEE additions and comparisons on
-    the same float64 values as the numpy tier.  ``sweep.c`` ships with the
+    the same float64 values as the numpy tier.  The loop comes twice
+    (:data:`C_LOOPS`): ``scalar``, portable, and ``avx2``, whose cells of
+    four candidates or more take the maximum in 4-lane vectors and screen
+    the eligible cuts a block at a time (an exact maximum does not depend on
+    the order of comparisons, so both loops store the same bits).  The
+    library is built for any x86-64 CPU (the ``avx2`` loop through a
+    function attribute, never ``-march=native``, because the cache key
+    covers source, flags and compiler but not the CPU, and a cached library
+    must load on every host sharing the cache), and its own CPU check,
+    ``sweep_cpu_avx2``, decides once per process which loop is bound
+    (:func:`c_loop`).  ``sweep.c`` ships with the
     package and is compiled on first use with the system ``cc`` (or ``gcc``)
     and the pinned flags :data:`C_FLAGS`: ``-ffp-contract=off`` because a
     fused multiply-add would change bits, and never ``-ffast-math``.  The
@@ -77,10 +87,12 @@ from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "C_FLAGS",
+    "C_LOOPS",
     "SWEEP_BATCH_BYTES",
     "KERNELS",
     "KernelUnavailableError",
     "available_kernels",
+    "c_loop",
     "default_kernel",
     "resolve_kernel",
     "set_default_kernel",
@@ -144,12 +156,29 @@ def numba_available() -> bool:
 CACHE_KEEP = 4
 
 
+#: The compiled sweep loops of ``sweep.c``, the portable one first.
+C_LOOPS = ("scalar", "avx2")
+
+
 @dataclass(frozen=True)
 class _Library:
-    """The loaded ``c`` library: the sweeps keyed by ``count``'s dtype, and the replay."""
+    """The loaded ``c`` library: its sweep loops and the replay.
 
-    sweeps: Dict[np.dtype, Callable[..., None]]
+    ``loops`` holds the loops this CPU runs, by name (:data:`C_LOOPS`), each
+    as its sweeps keyed by ``count``'s dtype; ``loop`` names the one bound,
+    the vector loop wherever it runs.
+    """
+
+    loops: Dict[str, Dict[np.dtype, Callable[..., None]]]
     walk: Callable[..., int]
+
+    @property
+    def loop(self) -> str:
+        return "avx2" if "avx2" in self.loops else "scalar"
+
+    @property
+    def sweeps(self) -> Dict[np.dtype, Callable[..., None]]:
+        return self.loops[self.loop]
 
 
 #: The loaded ``c`` library, or why the tier is unavailable; ``None`` until
@@ -194,11 +223,17 @@ def _library_key(compiler: str, source: bytes) -> str:
     return _digest(b"\0".join([source, " ".join(C_FLAGS).encode(), version]))
 
 
+def _cpu_runs_avx2(check: Callable[[], int]) -> bool:
+    """Whether this CPU runs the AVX2 loop: the library's own ``sweep_cpu_avx2``."""
+    return bool(check())
+
+
 def _open(path: Path) -> "_Library | None":
     """Load ``path`` if it is private, matches the digest in its name and is complete.
 
-    Complete: it has every function of the tier (a library missing one is
-    never loaded).
+    Complete: it has every function of the tier, both loops and the CPU
+    check included (a library missing one is never loaded).  The AVX2 loop
+    is kept only when the CPU check answers yes.
     """
     if not _private(path.parent, stat.S_IFDIR) or not _private(path, stat.S_IFREG):
         return None
@@ -208,23 +243,32 @@ def _open(path: Path) -> "_Library | None":
         library = ctypes.CDLL(str(path))
     except OSError:
         return None
-    sweeps = {}
-    for dtype, integer in ((np.int32, ctypes.c_int32), (np.int64, ctypes.c_int64)):
-        sweep = getattr(library, f"sweep_{np.dtype(dtype).name}", None)
-        if sweep is None:
-            return None
-        sweep.restype = None
-        sweep.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 5 + [ctypes.c_double, integer]
-        sweeps[np.dtype(dtype)] = sweep
+    loops: Dict[str, Dict[np.dtype, Callable[..., None]]] = {}
+    for loop in C_LOOPS:
+        sweeps = loops[loop] = {}
+        for dtype, integer in ((np.int32, ctypes.c_int32), (np.int64, ctypes.c_int64)):
+            sweep = getattr(library, f"sweep_{np.dtype(dtype).name}_{loop}", None)
+            if sweep is None:
+                return None
+            sweep.restype = None
+            sweep.argtypes = (
+                [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 5 + [ctypes.c_double, integer]
+            )
+            sweeps[np.dtype(dtype)] = sweep
+    check = getattr(library, "sweep_cpu_avx2", None)
     walk = getattr(library, "walk_int32", None)
-    if walk is None:
+    if check is None or walk is None:
         return None
+    check.restype = ctypes.c_int
+    check.argtypes = []
+    if not _cpu_runs_avx2(check):
+        del loops["avx2"]
     walk.restype = ctypes.c_int64
     walk.argtypes = (
         [ctypes.c_int64] * 5 + [ctypes.c_void_p] * 3
         + [ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64]
     )
-    return _Library(sweeps, walk)
+    return _Library(loops, walk)
 
 
 def _build(compiler: str, source: bytes, key: str, directory: Path) -> "Path | str":
@@ -340,6 +384,15 @@ def _loaded_c_library() -> _Library:
 def available_kernels() -> tuple[str, ...]:
     """The kernel tiers runnable in this environment."""
     return KERNELS if isinstance(_c_library(), _Library) else ("numpy",)
+
+
+def c_loop() -> "str | None":
+    """The compiled sweep loop bound in this process (``avx2`` or ``scalar``).
+
+    ``None`` when the ``c`` tier is unavailable.
+    """
+    library = _c_library()
+    return library.loop if isinstance(library, _Library) else None
 
 
 def default_kernel() -> str:
@@ -483,7 +536,8 @@ def temporal_cuts_c(
     """The compiled sweep of ``sweep.c`` (bit-identical to the numpy tier).
 
     int32 and int64 counts run in C (``cut`` is converted to ``count``'s
-    dtype on the way); other integer dtypes run the numpy tier.  Slabs that
+    dtype on the way), through the loop bound in this process
+    (:func:`c_loop`); other integer dtypes run the numpy tier.  Slabs that
     are not C-contiguous, or not of those dtypes, are copied in and back.
     """
     sweeps = _loaded_c_library().sweeps

@@ -13,15 +13,137 @@
  * transposed mirrors (``best_t[j][i + k + 1]``), so both operands are
  * row-contiguous; the mirrors are kept exact on every update.
  *
+ * Each sweep comes as two loops around one node loop: ``sweep_<int>_scalar``,
+ * the portable loop, and ``sweep_<int>_avx2``, compiled for AVX2 through a
+ * function attribute and bound only where ``sweep_cpu_avx2`` says the CPU
+ * runs it (never ``-march=native``: the library cache is keyed by source,
+ * flags and compiler, not by CPU, so a cached library must load on any
+ * x86-64 host).  On cells of four candidates or more the AVX2 loop keeps
+ * two 4-lane running maxima (each lane keeps its maximum exactly as the
+ * scalar ternary does, an unordered compare tracks NaN) and screens pass 2
+ * by blocks against ``top - epsilon``, one movemask per block, visiting only
+ * the eligible candidates, in index order, through the scalar count
+ * comparison (a cell whose first eight candidates are all eligible is
+ * screened one candidate at a time).  Shorter cells run the scalar cell.  The order of comparisons
+ * cannot change an exact maximum, except for the sign of a zero one, and
+ * ``top`` only feeds the ``>=`` threshold, where both zeros compare alike;
+ * the stored value is still ``lb[k] + rb[k]`` at the chosen ``k``: both
+ * loops store the same bits.  Off x86-64 the ``_avx2`` symbols are the
+ * scalar loop and ``sweep_cpu_avx2`` answers 0.
+ *
  * Build with -ffp-contract=off and without -ffast-math: every float is the
  * same IEEE operation on the same operands as in the numpy tier.  Counts are
  * added in unsigned arithmetic, which wraps like numpy's integer add.
  */
 #include <stdint.h>
 
-#define DEFINE_SWEEP(NAME, INT, UINT)                                          \
-void NAME(int64_t n_nodes, int64_t n, double *best, INT *cut, INT *count,     \
-          double *best_t, INT *count_t, double epsilon, INT no_eligible)      \
+#if defined(__x86_64__)
+#include <immintrin.h>
+#define HAVE_AVX2 1
+#else
+#define HAVE_AVX2 0
+#endif
+
+/* Pass 2, one eligible candidate: keep the first minimal count. */
+#define VISIT(K, INT, UINT)                                                   \
+    do {                                                                      \
+        INT total = (INT)((UINT)lc[K] + (UINT)rc[K]);                         \
+        if (total < best_count) {                                             \
+            best_count = total;                                               \
+            best_k = (K);                                                     \
+        }                                                                     \
+    } while (0)
+
+/* Pass 2 one candidate at a time: visit the eligible ones in index order. */
+#define SCREEN(INT, UINT)                                                     \
+    {                                                                         \
+        for (int64_t k = 0; k < length; k++)                                  \
+            if (lb[k] + rb[k] >= threshold)                                   \
+                VISIT(k, INT, UINT);                                          \
+    }
+
+/* The scalar cell: both passes one candidate at a time. */
+#define SCALAR_CELL(INT, UINT)                                                \
+    double top = lb[0] + rb[0];                                               \
+    int nan = top != top;                                                     \
+    for (int64_t k = 1; k < length; k++) {                                    \
+        double v = lb[k] + rb[k];                                             \
+        nan |= v != v;                                                        \
+        top = v > top ? v : top;                                              \
+    }                                                                         \
+    double threshold = top - epsilon;                                         \
+    if (!nan)                                                                 \
+        SCREEN(INT, UINT)
+
+#if HAVE_AVX2
+/* The four candidates from ``at`` on, as one vector. */
+#define BLOCK(AT) _mm256_add_pd(_mm256_loadu_pd(lb + (AT)), _mm256_loadu_pd(rb + (AT)))
+
+/* Where the block of candidate ``k`` is read: from ``k``, or from ``last``
+ * (the last four candidates) when it would run past the end. */
+#define CLIP(K) ((K) < last ? (K) : last)
+
+/* The eligible candidates among the four from ``k`` on, as bits (bit b for
+ * candidate k + b): the clipped block's lanes before ``k`` are dropped, and
+ * a block wholly past the end yields no bits. */
+#define ELIGIBLE(K)                                                           \
+    ((unsigned)_mm256_movemask_pd(                                            \
+         _mm256_cmp_pd(BLOCK(CLIP(K)), limit, _CMP_GE_OQ)) >> ((K) - CLIP(K)))
+
+/* The AVX2 cell, for four candidates or more.  Pass 1 runs two running
+ * maxima over blocks of four: the first block, the last one (overlapping the
+ * one before when ``length`` is not a multiple of four) and the blocks
+ * between, two at a time, the second clipped.  ``_mm256_max_pd(v, t)`` is
+ * ``v > t ? v : t`` per lane, the scalar ternary, and a candidate read twice
+ * cannot change a maximum.  An unordered compare of each pair of blocks
+ * flags any NaN.  Pass 2 screens eight candidates at a time against the
+ * threshold and visits the set bits in index order.  A cell whose first
+ * eight candidates are all eligible (the tie-dense tables of a homogeneous
+ * trace) screens one candidate at a time instead: there nearly every bit is
+ * set, and the bit loop's varying trip count mispredicts where the scalar
+ * screen's branches do not. */
+#define AVX2_CELL(INT, UINT)                                                  \
+    if (length >= 4) {                                                        \
+        int64_t last = length - 4;                                            \
+        __m256d t0 = BLOCK(0), t1 = BLOCK(last);                              \
+        __m256d bad = _mm256_cmp_pd(t0, t1, _CMP_UNORD_Q);                    \
+        for (int64_t k = 4; k < last; k += 8) {                               \
+            __m256d v0 = BLOCK(k), v1 = BLOCK(CLIP(k + 4));                   \
+            bad = _mm256_or_pd(bad, _mm256_cmp_pd(v0, v1, _CMP_UNORD_Q));    \
+            t0 = _mm256_max_pd(v0, t0);                                       \
+            t1 = _mm256_max_pd(v1, t1);                                       \
+        }                                                                     \
+        t0 = _mm256_max_pd(t0, t1);                                           \
+        __m128d half = _mm_max_pd(_mm256_castpd256_pd128(t0),                 \
+                                  _mm256_extractf128_pd(t0, 1));              \
+        double top = _mm_cvtsd_f64(_mm_max_sd(half, _mm_unpackhi_pd(half, half))); \
+        double threshold = top - epsilon;                                     \
+        __m256d limit = _mm256_set1_pd(threshold);                            \
+        unsigned first = ELIGIBLE(0) | ELIGIBLE(4) << 4;                      \
+        if (!_mm256_movemask_pd(bad)) {                                       \
+            if (first == (length < 8 ? (1u << length) - 1 : 0xFFu))           \
+                SCREEN(INT, UINT)                                             \
+            else                                                              \
+                for (int64_t k = 0; k < length; k += 8)                       \
+                    for (unsigned mask = k ? ELIGIBLE(k) | ELIGIBLE(k + 4) << 4 \
+                                           : first;                           \
+                         mask; mask &= mask - 1)                              \
+                        VISIT(k + __builtin_ctz(mask), INT, UINT);            \
+        }                                                                     \
+    } else {                                                                  \
+        SCALAR_CELL(INT, UINT)                                                \
+    }
+#define AVX2_TARGET __attribute__((target("avx2")))
+#else
+#define AVX2_CELL SCALAR_CELL
+#define AVX2_TARGET
+#endif
+
+/* One sweep: the node loop around a cell body (SCALAR_CELL or AVX2_CELL). */
+#define DEFINE_SWEEP(NAME, ATTRIBUTE, CELL, INT, UINT)                         \
+ATTRIBUTE void NAME(int64_t n_nodes, int64_t n, double *best, INT *cut,       \
+                    INT *count, double *best_t, INT *count_t, double epsilon, \
+                    INT no_eligible)                                          \
 {                                                                             \
     for (int64_t node = 0; node < n_nodes; node++) {                          \
         double *b = best + node * n * n;                                      \
@@ -36,26 +158,10 @@ void NAME(int64_t n_nodes, int64_t n, double *best, INT *cut, INT *count,     \
                 int64_t length = j - i;                                       \
                 const double *lb = b + i * n + i, *rb = best_t + j * n + i + 1; \
                 const INT *lc = c + i * n + i, *rc = count_t + j * n + i + 1; \
-                double top = lb[0] + rb[0];                                   \
-                int nan = top != top;                                         \
-                for (int64_t k = 1; k < length; k++) {                        \
-                    double v = lb[k] + rb[k];                                 \
-                    nan |= v != v;                                            \
-                    top = v > top ? v : top;                                  \
-                }                                                             \
                 /* A NaN maximum makes no cut eligible: the argmin is 0. */   \
                 int64_t best_k = 0;                                           \
                 INT best_count = no_eligible;                                 \
-                double threshold = top - epsilon;                             \
-                for (int64_t k = 0; k < (nan ? 0 : length); k++) {            \
-                    if (lb[k] + rb[k] >= threshold) {                         \
-                        INT total = (INT)((UINT)lc[k] + (UINT)rc[k]);         \
-                        if (total < best_count) {                             \
-                            best_count = total;                               \
-                            best_k = k;                                       \
-                        }                                                     \
-                    }                                                         \
-                }                                                             \
+                CELL(INT, UINT)                                               \
                 double value = lb[best_k] + rb[best_k];                       \
                 INT total = (INT)((UINT)lc[best_k] + (UINT)rc[best_k]);       \
                 double current = b[i * n + j];                                \
@@ -69,8 +175,21 @@ void NAME(int64_t n_nodes, int64_t n, double *best, INT *cut, INT *count,     \
     }                                                                         \
 }
 
-DEFINE_SWEEP(sweep_int32, int32_t, uint32_t)
-DEFINE_SWEEP(sweep_int64, int64_t, uint64_t)
+DEFINE_SWEEP(sweep_int32_scalar, , SCALAR_CELL, int32_t, uint32_t)
+DEFINE_SWEEP(sweep_int64_scalar, , SCALAR_CELL, int64_t, uint64_t)
+DEFINE_SWEEP(sweep_int32_avx2, AVX2_TARGET, AVX2_CELL, int32_t, uint32_t)
+DEFINE_SWEEP(sweep_int64_avx2, AVX2_TARGET, AVX2_CELL, int64_t, uint64_t)
+
+/* 1 when this CPU (and its operating system) runs the ``_avx2`` loops. */
+int sweep_cpu_avx2(void)
+{
+#if HAVE_AVX2
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") ? 1 : 0;
+#else
+    return 0;
+#endif
+}
 
 /* The cut replay of ``SpatiotemporalAggregator._walk``: every value's
  * aggregates, in the Python walk's pop order.  ``cuts[h]`` is height h's

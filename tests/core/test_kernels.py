@@ -11,7 +11,11 @@ The ``c`` tier compiles ``sweep.c`` on first use and loads it through
   is never loaded from;
 * concurrent first uses publish one loadable library;
 * a load keeps the cache to the ``CACHE_KEEP`` most recently used
-  libraries, deleting only this user's files and never the one it loaded.
+  libraries, deleting only this user's files and never the one it loaded;
+* every library carries both sweep loops (``scalar`` and ``avx2``) and the
+  CPU check that picks one, and one missing any of them is never loaded;
+  without AVX2 the scalar loop is bound and analyses keep their bytes; a
+  vector screen that visits eligible cuts out of index order is caught.
 
 Build behaviour runs in fresh interpreters with ``XDG_CACHE_HOME`` pointing
 at a temporary directory, so every case starts from an empty process state
@@ -360,3 +364,121 @@ class TestCachePruning:
         kernels._prune(cache, planted[-1])
         assert link.is_symlink() and target.exists() and temporary.exists()
         assert len([p for p in _libraries(cache) if not p.is_symlink()]) == kernels.CACHE_KEEP
+
+
+def _compile_private(directory: Path, label: str, source: bytes, *flags: str) -> Path:
+    """``source`` built with the tier's flags into ``directory``, named as the cache names it."""
+    directory.mkdir(mode=0o700, exist_ok=True)
+    built = directory.parent / f"{label}.so"
+    subprocess.run(
+        [kernels._compiler(), *kernels.C_FLAGS, *flags, "-x", "c", "-", "-o", str(built)],
+        input=source, check=True, timeout=300,
+    )
+    data = built.read_bytes()
+    path = directory / f"sweep-{label}-{kernels._digest(data)}.so"
+    path.write_bytes(data)
+    os.chmod(path, 0o755)
+    return path
+
+
+def _cpu_flags_list_avx2() -> "bool | None":
+    """Whether the kernel's CPU flags list AVX2 (``None`` off Linux)."""
+    try:
+        flags = Path("/proc/cpuinfo").read_text().split()
+    except OSError:
+        return None
+    return "avx2" in flags
+
+
+def _tie_heavy_slab() -> list:
+    """``(best, cut, count)`` whose cells tie on value and count: the order
+    in which eligible cuts are visited decides the chosen one."""
+    rng = np.random.default_rng(7)
+    best = np.triu(np.round(rng.uniform(-1.0, 1.0, (3, 24, 24)) * 2.0) / 2.0)
+    count = rng.integers(1, 3, best.shape, dtype=np.int32)
+    return [best, np.zeros(best.shape, np.int32), count]
+
+
+def _sweep_bits(tables: list, run) -> list:
+    tables = [table.copy() for table in tables]
+    run(*tables, 1e-9)
+    return [tables[0].view(np.int64).tolist(), tables[1].tolist(), tables[2].tolist()]
+
+
+@needs_c
+class TestCompiledLoops:
+    """Both sweep loops of ``sweep.c``, and the CPU check that binds one."""
+
+    def test_the_bound_loop_follows_the_cpu(self):
+        library = kernels._loaded_c_library()
+        listed = _cpu_flags_list_avx2()
+        if listed is None:
+            pytest.skip("no /proc/cpuinfo to check the CPU against")
+        expected = "avx2" if listed else "scalar"
+        assert kernels.c_loop() == library.loop == expected
+        assert set(library.loops) == ({"scalar", "avx2"} if listed else {"scalar"})
+        assert {dtype.name: sweep.__name__ for dtype, sweep in library.sweeps.items()} == {
+            "int32": f"sweep_int32_{expected}", "int64": f"sweep_int64_{expected}",
+        }
+
+    def test_without_avx2_the_scalar_loop_is_bound_and_analyses_keep_their_bytes(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(kernels, "_cpu_runs_avx2", lambda check: False)
+        monkeypatch.setattr(kernels, "_C_LIBRARY", None)
+        monkeypatch.setenv(kernels.KERNEL_ENV, "auto")
+        assert kernels.c_loop() == "scalar"
+        library = kernels._loaded_c_library()
+        assert list(library.loops) == ["scalar"]
+        assert {dtype.name: sweep.__name__ for dtype, sweep in library.sweeps.items()} == {
+            "int32": "sweep_int32_scalar", "int64": "sweep_int64_scalar",
+        }
+        outputs = {}
+        for label, extra in (
+            ("numpy", ["--kernel", "numpy"]),
+            ("c", ["--kernel", "c"]),
+            ("c-jobs2", ["--kernel", "c", "--jobs", "2"]),
+        ):
+            assert main(["analyze", str(TRACE), "--slices", "40", "--json", *extra]) == 0
+            outputs[label] = capsys.readouterr().out
+        assert outputs["c"] == outputs["numpy"]
+        assert outputs["c-jobs2"] == outputs["numpy"]
+
+    @pytest.mark.parametrize(
+        "missing",
+        ["sweep_cpu_avx2", "sweep_int32_scalar", "sweep_int64_scalar",
+         "sweep_int32_avx2", "sweep_int64_avx2"],
+    )
+    def test_a_library_missing_a_loop_or_the_cpu_check_is_never_loaded(self, tmp_path, missing):
+        source = kernels._C_SOURCE.read_bytes()
+        directory = tmp_path / "private"
+        complete = _compile_private(directory, "complete", source)
+        lacking = _compile_private(directory, "lacking", source, f"-D{missing}={missing}_renamed")
+        assert isinstance(kernels._open(complete), kernels._Library)
+        assert kernels._open(lacking) is None
+
+    def test_a_vector_screen_visiting_out_of_index_order_is_caught(self, tmp_path, monkeypatch):
+        # A planted mutant: the AVX2 loop's pass 2 visits each block's
+        # eligible cuts from the highest bit down, so among tied counts it
+        # keeps the last cut instead of the first.  The tie-heavy slab must
+        # tell it from the numpy tier; the shipped loop must not.
+        if "avx2" not in kernels._loaded_c_library().loops:
+            pytest.skip("this CPU does not run the avx2 loop")
+        source = kernels._C_SOURCE.read_text()
+        visit, clear = "VISIT(k + __builtin_ctz(mask), INT, UINT);", "mask &= mask - 1"
+        assert source.count(visit) == 1 and source.count(clear) == 1
+        mutant = source.replace(visit, "VISIT(k + 31 - __builtin_clz(mask), INT, UINT);")
+        mutant = mutant.replace(clear, "mask &= ~(1u << (31 - __builtin_clz(mask)))")
+        library = kernels._open(_compile_private(tmp_path / "private", "mutant", mutant.encode()))
+        assert isinstance(library, kernels._Library) and "avx2" in library.loops
+
+        slab = _tie_heavy_slab()
+        reference = _sweep_bits(slab, kernels.temporal_cuts_numpy)
+        assert kernels.c_loop() == "avx2"
+        shipped = _sweep_bits(slab, kernels.temporal_cuts_c)
+        monkeypatch.setattr(kernels, "_C_LIBRARY", library)
+        assert kernels.c_loop() == "avx2"
+        planted = _sweep_bits(slab, kernels.temporal_cuts_c)
+        assert shipped == reference
+        assert planted != reference

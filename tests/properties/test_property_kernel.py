@@ -6,8 +6,11 @@ The contract behind ``repro … --kernel``: every kernel tier of
 raw sweep level (random upper-triangular tables) up through tables,
 partitions and serialized analysis payloads.  Wherever a C compiler builds
 the compiled ``c`` tier, it joins every differential automatically; its raw
-sweep is also diffed on NaN and ±inf cells (as int64 bit patterns), int32 and
-int64 counts and non-contiguous slabs.
+sweep is also diffed on NaN, ±inf, ±0 and subnormal cells (as int64 bit
+patterns), int32 and int64 counts and non-contiguous slabs, and each of its
+compiled loops (``scalar``, and ``avx2`` where the CPU runs it) is diffed on
+its own, by name, on slabs of up to 44 slices (every cell length on both
+sides of the loops' vector block edges).
 
 The height-batched sweep — one kernel call over the ``(N, T, T)`` slab of
 every node of one hierarchy height — is checked against the per-cell
@@ -24,6 +27,7 @@ in-memory.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import tempfile
 from pathlib import Path
@@ -69,6 +73,17 @@ _SETTINGS = settings(
 TIERS = available_kernels()
 
 needs_c = pytest.mark.skipif("c" not in TIERS, reason="no C compiler: the c tier is unavailable")
+
+#: The compiled sweep loops this CPU runs (``scalar``, and ``avx2`` where it runs).
+RUNNABLE_LOOPS = tuple(kernels._loaded_c_library().loops) if "c" in TIERS else ()
+
+
+def _bound(loop: str):
+    """Patch the ``c`` tier so that ``loop`` is the compiled loop it calls."""
+    library = kernels._loaded_c_library()
+    return mock.patch.object(
+        kernels, "_C_LIBRARY", dataclasses.replace(library, loops={loop: library.loops[loop]})
+    )
 
 
 def model_strategy(max_resources: int = 8, max_slices: int = 10, max_states: int = 3):
@@ -130,8 +145,14 @@ def _run_sweep(sweep, best, count, epsilon, **kwargs):
     return b, cut, c
 
 
+#: Cell values that stress the float compares of the sweep loops: NaN, ±inf,
+#: both zeros, subnormals (the smallest, and one near the normal range) and
+#: values that repeat, so candidates tie.
+SPECIAL_VALUES = (np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1.5e-308, 0.5, -1.0)
+
+
 def special_sweep_inputs(max_size: int = 10):
-    """Sweep inputs with NaN, ±inf and quantized (tied) cells, int32 or int64 counts."""
+    """Sweep inputs with special (NaN, ±inf, ±0, subnormal, tied) cells, int32 or int64 counts."""
 
     @st.composite
     def build(draw):
@@ -140,7 +161,7 @@ def special_sweep_inputs(max_size: int = 10):
         # None keeps the drawn value; the others overwrite it.
         specials = draw(
             st.lists(
-                st.sampled_from([np.nan, np.inf, -np.inf, 0.0, 0.5, -1.0, None]),
+                st.sampled_from([*SPECIAL_VALUES, None]),
                 min_size=n * n, max_size=n * n,
             )
         )
@@ -149,6 +170,44 @@ def special_sweep_inputs(max_size: int = 10):
                 best[divmod(cell, n)] = value
         dtype = draw(st.sampled_from([np.int32, np.int64]))
         return np.triu(best), counts.astype(dtype)
+
+    return build()
+
+
+def long_sweep_inputs(max_size: int = 44):
+    """``(N, T, T)`` slabs of up to ``max_size`` slices, int32 or int64 counts.
+
+    A table of ``T`` slices has cells of every length from 1 to ``T - 1``,
+    so a drawn ``T`` puts cell lengths on both sides of every vector block
+    edge below it (the compiled loops read candidates in blocks of four and
+    eight); small sizes around those edges are drawn often.  Values are
+    uniform, quantized to a fine or a coarse step (ties among some or most
+    candidates) or all zero (every candidate tied, as in a homogeneous
+    trace), with :data:`SPECIAL_VALUES` planted at a drawn rate; counts are
+    small, or large enough that their sums wrap.  Drawn from a seed, so long
+    slabs stay cheap to generate.
+    """
+
+    @st.composite
+    def build(draw):
+        n = draw(st.one_of(
+            st.integers(min_value=2, max_value=max_size),
+            st.sampled_from([3, 4, 5, 7, 8, 9, 11, 12, 13, 16, 17]),
+        ))
+        n_nodes = draw(st.integers(min_value=1, max_value=3))
+        rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+        best = rng.uniform(-4.0, 4.0, (n_nodes, n, n))
+        step = draw(st.sampled_from([None, 0.25, 2.0, 0.0]))
+        if step == 0.0:
+            best[...] = 0.0
+        elif step is not None:
+            best = np.round(best / step) * step
+        planted = rng.random(best.shape) < draw(st.sampled_from([0.0, 0.02, 0.2]))
+        best[planted] = rng.choice(np.array(SPECIAL_VALUES), int(planted.sum()))
+        dtype = draw(st.sampled_from([np.int32, np.int64]))
+        high = np.iinfo(dtype).max // 2 + 2 if draw(st.booleans()) else 50
+        count = rng.integers(1, high, best.shape, dtype=dtype)
+        return np.triu(best), count
 
     return build()
 
@@ -186,6 +245,34 @@ class TestRawSweepDifferential:
         with np.errstate(invalid="ignore"):
             temporal_cuts_numpy(*reference, epsilon)
         temporal_cuts_c(*compiled, epsilon)
+        assert _bits(compiled) == _bits(reference)
+
+    @needs_c
+    @pytest.mark.parametrize(
+        "loop",
+        [
+            pytest.param(
+                loop,
+                marks=pytest.mark.skipif(
+                    loop not in RUNNABLE_LOOPS, reason=f"this CPU does not run the {loop} loop"
+                ),
+            )
+            for loop in kernels.C_LOOPS
+        ],
+    )
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=long_sweep_inputs(), epsilon=st.sampled_from([0.0, 1e-9, 1e-3]))
+    def test_each_compiled_loop_matches_numpy_bits_on_long_slabs(self, loop, data, epsilon):
+        # Every compiled loop is diffed on its own, called by name, so a
+        # host that binds the vector loop still checks the scalar one.
+        best, count = data
+        cut = np.zeros(best.shape, dtype=count.dtype)
+        reference = [best.copy(), cut.copy(), count.copy()]
+        compiled = [best.copy(), cut.copy(), count.copy()]
+        with np.errstate(invalid="ignore", over="ignore"):
+            temporal_cuts_numpy(*reference, epsilon)
+        with _bound(loop):
+            temporal_cuts_c(*compiled, epsilon)
         assert _bits(compiled) == _bits(reference)
 
     @needs_c
