@@ -10,9 +10,14 @@ guaranteed to describe the same computation.  ``speedup`` is per-cell
 reference seconds over ``numpy`` seconds; ``kernel_ratio`` is ``numpy``
 seconds over ``c`` seconds (whole ``compute_tables``: base tables, merges
 and sweep), each the best per-call time over samples of at least 20 ms.
-The full grid adds two |T| = 128 cells (16 and 64 resources), where the
-compiled sweep loop dominates; ``meta.c_loop`` records which compiled loop
-ran (``avx2`` or ``scalar``).
+Where the ``c`` tier builds, every grid cell also times the gain/loss table
+build of a fresh statistics engine (every height's slabs, mean operator) on
+each tier, diffs the two fills' slabs bit for bit, and records
+``tables_ratio``: numpy-fill seconds over compiled-fill seconds, timed the
+same way.  The full grid adds two |T| = 128 cells (16 and 64 resources),
+where the compiled sweep loop dominates ``compute_tables`` and the table
+build dominates a first overview; ``meta.c_loop`` records which compiled
+loop ran (``avx2`` or ``scalar``).
 
 Beyond the classic grid, the full run times a **large row family**
 (``large_results``): a 1024-resource x 1000-slice microscopic model analyzed
@@ -41,9 +46,9 @@ Results are written as ``BENCH_spatiotemporal.json`` (at the repository root
 by default), seeding the performance trajectory.  CI runs the ``--smoke``
 grid and gates regressions with ``--check-against``: the comparison uses
 ratios (same-runner, stable across hardware), never absolute wall-clock.
-``kernel_ratio`` and ``walk_ratio`` fail the gate when the ``c`` tier slows
-down; they are skipped, with a warning, where the ``c`` tier cannot be
-built.
+``kernel_ratio``, ``tables_ratio`` and ``walk_ratio`` fail the gate when
+the ``c`` tier slows down; they are skipped, with a warning, where the
+``c`` tier cannot be built.
 
 Usage::
 
@@ -77,6 +82,7 @@ from common import (  # noqa: E402
     warn_skipped_gates,
 )
 
+from repro.core.criteria import IntervalStatistics  # noqa: E402
 from repro.core.kernels import available_kernels, c_loop  # noqa: E402
 from repro.core.microscopic import MicroscopicModel  # noqa: E402
 from repro.core.parameters import significant_points  # noqa: E402
@@ -124,6 +130,22 @@ def tables_identical(left, right) -> bool:
         and np.array_equal(left[key].cut, right[key].cut)
         and np.array_equal(left[key].count, right[key].count)
         for key in left
+    )
+
+
+def fill_tables(model: MicroscopicModel, kernel: str) -> list:
+    """Every height's gain/loss slabs, filled by a fresh engine on ``kernel``."""
+    stats = IntervalStatistics(model, kernel=kernel)
+    levels = enumerate(model.hierarchy.height_plan.levels)
+    return [stats.height_tables(height, level.nodes) for height, level in levels]
+
+
+def slabs_identical(left: list, right: list) -> bool:
+    """Whether two lists of ``(gain, loss)`` slabs are bit-for-bit identical."""
+    return len(left) == len(right) and all(
+        np.array_equal(a.view(np.int64), b.view(np.int64))
+        for pair_a, pair_b in zip(left, right)
+        for a, b in zip(pair_a, pair_b)
     )
 
 
@@ -196,6 +218,14 @@ def bench_cell(
         row[f"seconds_{tier}"] = round(seconds, 6)
     if "c" in kernel_seconds:
         row["kernel_ratio"] = round(seconds_vectorized / kernel_seconds["c"], 3)
+        fill_seconds, fills = {}, {}
+        for tier in ("numpy", "c"):
+            fill_seconds[tier], fills[tier] = timed_per_call(
+                lambda tier=tier: fill_tables(model, tier), repeats
+            )
+            row[f"seconds_tables_{tier}"] = round(fill_seconds[tier], 6)
+        row["tables_ratio"] = round(fill_seconds["numpy"] / fill_seconds["c"], 3)
+        row["fills_identical"] = slabs_identical(fills["numpy"], fills["c"])
     if jobs > 1:
         seconds_jobs, parallel = timed_call(
             lambda: aggregator.compute_tables(p, jobs=jobs), repeats
@@ -351,19 +381,21 @@ def check_regression(
 ) -> int:
     """Compare the ratios against a committed baseline; 0 when acceptable."""
     c_tier = "c" in available_kernels()
-    kernel_ratio, walk_ratio = (
+    kernel_ratio, tables_ratio, walk_ratio = (
         GateMetric(
             name, max_regression=max_regression,
             active=c_tier, note="" if c_tier else "c tier unavailable: no C compiler",
         )
-        for name in ("kernel_ratio", "walk_ratio")
+        for name in ("kernel_ratio", "tables_ratio", "walk_ratio")
     )
-    warn_skipped_gates([kernel_ratio, walk_ratio])
+    warn_skipped_gates([kernel_ratio, tables_ratio, walk_ratio])
     code = check_ratio_regression(
         results,
         baseline_path,
         key_fields=("slices", "resources"),
-        metrics=[GateMetric("speedup", max_regression=max_regression), kernel_ratio],
+        metrics=[
+            GateMetric("speedup", max_regression=max_regression), kernel_ratio, tables_ratio,
+        ],
     )
     if large_results:
         code = max(
@@ -439,6 +471,7 @@ def main(argv: "list[str] | None" = None) -> int:
             + " ".join(f"{tier}={row[f'seconds_{tier}']:.3f}s" for tier in available_kernels())
             + f" speedup={row['speedup']:.1f}x"
             f" kernel_ratio={row.get('kernel_ratio', float('nan')):.2f}x"
+            f" tables_ratio={row.get('tables_ratio', float('nan')):.2f}x"
             f" identical={row['tables_identical']}"
         )
         if not row["tables_identical"]:
@@ -446,6 +479,9 @@ def main(argv: "list[str] | None" = None) -> int:
             return 1
         if not row["kernels_identical"]:
             print("FATAL: kernel tiers diverge from the numpy sweep", file=sys.stderr)
+            return 1
+        if not row.get("fills_identical", True):
+            print("FATAL: the compiled table fill diverges from the numpy fill", file=sys.stderr)
             return 1
         results.append(row)
 

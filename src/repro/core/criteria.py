@@ -37,8 +37,20 @@ height one chunk of nodes at a time:
   order numpy's contiguous pairwise ``add.reduce`` uses;
 * one operator call scores the chunk.
 
-Chunks are sized so the operator's working set stays within
-:data:`repro.core.kernels.SWEEP_BATCH_BYTES`; a node whose working set alone
+On the ``c`` kernel tier the built-in ``mean`` operator (Eq. 1-3) scores its
+chunks through the compiled fill, :func:`repro.core.kernels.mean_tables_c`,
+instead: two passes of ``sweep.c`` around numpy's ``log2``, from the same
+time prefixes, with the same IEEE operations in the same order (the sum
+over states in :func:`~repro.core.operators.state_sum`'s order), so both
+fills store the same bits.  The logarithm stays in numpy because numpy's
+vectorized float64 ``log2`` (its AVX-512 build, for one) does not round
+like the C library's ``log2`` on every input, and the numpy fill takes its
+logarithms from numpy.  Every other operator, and every operator on the
+``numpy`` tier, runs the numpy fill.
+
+Chunks are sized so the fill's working set stays within
+:data:`repro.core.kernels.SWEEP_BATCH_BYTES` (the compiled fill holds less
+per cell, so its chunks hold more nodes); a node whose working set alone
 exceeds it is split by start rows under the same budget (a block of start
 rows ``[lo, hi)`` computes only the end columns ``j >= lo``; the others are
 lower triangle).  Chunking cannot change any float: every table entry sees
@@ -74,6 +86,7 @@ from .microscopic import MicroscopicModel
 from .operators import (
     AggregationOperator,
     IntervalSums,
+    MeanOperator,
     get_operator,
     operator_requires,
     pic,
@@ -90,6 +103,13 @@ _STATE_CELL_BYTES = 64
 #: arrays: the state-summed gain and loss, their state-sum accumulators and
 #: the operator's per-cell denominators.
 _CELL_BYTES = 128
+
+#: The same two figures for the compiled ``mean`` fill, which holds per cell
+#: and state the packed macro proportion, its ``log2`` and the ``log2`` mask
+#: (17 bytes, upper-triangle cells only) and the chunk's time prefixes, and
+#: per cell the gain and loss it returns.
+_COMPILED_STATE_CELL_BYTES = 24
+_COMPILED_CELL_BYTES = 16
 
 
 def _extrema_table(
@@ -110,6 +130,18 @@ def _extrema_table(
     table = np.zeros((n_states, n_nodes, hi - lo, n_slices - lo))
     for i in range(lo, hi):
         ufunc.accumulate(series[..., i:], axis=-1, out=table[:, :, i - lo, i - lo :])
+    return np.moveaxis(table, 0, -1)
+
+
+def _interval_table(prefix: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Interval sums of the start rows ``[lo, hi)`` from ``(X, c, T + 1)`` time prefixes.
+
+    ``table[x, n, i - lo, j - lo] = prefix[x, n, j + 1] - prefix[x, n, i]``
+    for ``lo <= j < T`` (lower triangle included), returned as the logical
+    ``(c, hi - lo, T - lo, X)`` view of that state-major memory.
+    """
+    table = np.empty(prefix.shape[:2] + (hi - lo, prefix.shape[2] - 1 - lo))
+    np.subtract(prefix[:, :, None, lo + 1 :], prefix[:, :, lo:hi, None], out=table)
     return np.moveaxis(table, 0, -1)
 
 
@@ -136,15 +168,27 @@ class IntervalStatistics:
     operator:
         Aggregation operator (``"mean"`` — the paper's Eq. 1-3 — by default,
         or ``"sum"`` for the canonical criterion).
+    kernel:
+        Kernel tier of the table fill (see :mod:`repro.core.kernels`):
+        ``"numpy"``, ``"c"`` or ``None``/``"auto"`` for the process default.
+        On ``c`` the built-in ``mean`` operator's tables are filled by the
+        compiled fill; every other operator, and every operator on ``numpy``,
+        by the numpy fill.  Both fills store the same bits.
     """
 
     def __init__(
         self,
         model: MicroscopicModel,
         operator: "AggregationOperator | str | None" = None,
+        kernel: "str | None" = None,
     ):
         self._model = model
         self._operator = get_operator(operator)
+        # An exact type check: a subclass or an embedder's operator registered
+        # as "mean" may change the arithmetic the compiled fill hard-codes.
+        self._compiled_fill = (
+            kernels.resolve_kernel(kernel) == "c" and type(self._operator) is MeanOperator
+        )
         (
             self._prefix_durations,
             self._prefix_rho,
@@ -330,21 +374,9 @@ class IntervalStatistics:
         memory, so an operator's per-state passes run over contiguous state
         slices.
         """
-        n_slices = self.n_slices
-        first = np.array([node.leaf_start for node in nodes], dtype=np.intp)
-        last = np.array([node.leaf_end for node in nodes], dtype=np.intp)
-        shape = (self._model.n_states, len(nodes), hi - lo, n_slices - lo)
 
         def interval_table(cumulative: np.ndarray) -> np.ndarray:
-            # Each node's time prefix of its per-slice sums, as (X, c, T + 1).
-            prefix = np.empty(shape[:2] + (n_slices + 1,))
-            prefix[..., 0] = 0.0
-            per_slice = cumulative[last] - cumulative[first]  # (c, T, X)
-            np.cumsum(per_slice, axis=1, out=np.moveaxis(prefix[..., 1:], 0, -1))
-            # table[x, n, i - lo, j - lo] = prefix[x, n, j + 1] - prefix[x, n, i]
-            table = np.empty(shape)
-            np.subtract(prefix[:, :, None, lo + 1 :], prefix[:, :, lo:hi, None], out=table)
-            return np.moveaxis(table, 0, -1)
+            return _interval_table(self._chunk_prefix(cumulative, nodes), lo, hi)
 
         extras: dict[str, np.ndarray] = {}
         if "sum_sq_rho" in self._requires:
@@ -363,6 +395,20 @@ class IntervalStatistics:
             n_cells=n_leaves * self._interval_lengths[lo:hi, lo:],
             **extras,
         )
+
+    def _chunk_prefix(self, cumulative: np.ndarray, nodes: Sequence[HierarchyNode]) -> np.ndarray:
+        """Each node's time prefix of its per-slice sums, state-major ``(X, c, T + 1)``.
+
+        ``cumulative`` is a resource-axis prefix table ``(R + 1, T, X)``;
+        ``prefix[x, n, t]`` sums node ``n``'s slices before ``t``.
+        """
+        first = np.array([node.leaf_start for node in nodes], dtype=np.intp)
+        last = np.array([node.leaf_end for node in nodes], dtype=np.intp)
+        prefix = np.empty((self._model.n_states, len(nodes), self.n_slices + 1))
+        prefix[..., 0] = 0.0
+        per_slice = cumulative[last] - cumulative[first]  # (c, T, X)
+        np.cumsum(per_slice, axis=1, out=np.moveaxis(prefix[..., 1:], 0, -1))
+        return prefix
 
     # ------------------------------------------------------------------ #
     # Gain / loss / pIC tables
@@ -434,11 +480,20 @@ class IntervalStatistics:
         into blocks of start rows that fit (at least one row).
         """
         n_slices = self.n_slices
-        row_bytes = n_slices * (self._model.n_states * _STATE_CELL_BYTES + _CELL_BYTES)
+        row_bytes = self._row_bytes()
         budget = kernels.SWEEP_BATCH_BYTES
         if n_slices * row_bytes <= budget:
             return budget // (n_slices * row_bytes), n_slices
         return 1, max(1, budget // row_bytes)
+
+    def _row_bytes(self) -> int:
+        """Bytes the fill holds per start row of one node."""
+        state_bytes, cell_bytes = (
+            (_COMPILED_STATE_CELL_BYTES, _COMPILED_CELL_BYTES)
+            if self._compiled_fill
+            else (_STATE_CELL_BYTES, _CELL_BYTES)
+        )
+        return self.n_slices * (self._model.n_states * state_bytes + cell_bytes)
 
     def _chunk_tables(
         self, nodes: Sequence[HierarchyNode], lo: int, hi: int
@@ -446,8 +501,19 @@ class IntervalStatistics:
         """``(gain, loss)`` of ``nodes`` for the start rows ``[lo, hi)``.
 
         Both ``(c, hi - lo, T - lo)``: the end columns ``j >= lo`` of the
-        rows, with the lower-triangle entries (``j < i``) zero.
+        rows, with the lower-triangle entries (``j < i``) zero.  The compiled
+        ``mean`` fill (:func:`repro.core.kernels.mean_tables_c`) starts from
+        the same time prefixes as the numpy fill and stores the same bits.
         """
+        if self._compiled_fill:
+            cumulatives = (self._prefix_durations, self._prefix_rho, self._prefix_rho_log_rho)
+            return kernels.mean_tables_c(
+                *(self._chunk_prefix(cumulative, nodes) for cumulative in cumulatives),
+                self._interval_durations,
+                np.array([node.n_leaves for node in nodes], dtype=float),
+                lo,
+                hi,
+            )
         gain, loss = self._operator.gain_loss(self._chunk_sums(nodes, lo, hi))
         lower = np.tri(hi - lo, self.n_slices - lo, -1, dtype=bool)
         return np.where(lower, 0.0, gain), np.where(lower, 0.0, loss)

@@ -1,4 +1,4 @@
-"""Selectable DP-sweep kernels for the Algorithm 1 temporal-cut recurrence.
+"""Selectable DP-sweep kernels for the Algorithm 1 temporal-cut recurrence (and table fill).
 
 Every kernel takes a *slab* of DP tables: ``best``/``cut``/``count`` of shape
 ``(N, T, T)`` — one ``(T, T)`` table per hierarchy node — or a single
@@ -59,6 +59,19 @@ coarsest-partition tie-break — and are **bit-identical by construction**
     only moves integers, so both tiers' aggregates are equal element for
     element.  A library without it is never loaded.
 
+    It also holds the ``mean`` operator's gain/loss table fill
+    (:func:`mean_tables_c`, which :class:`~repro.core.criteria.IntervalStatistics`
+    runs on this tier for the built-in ``mean`` operator): pass 1,
+    ``fill_mean_macro``, writes the macro proportions (Eq. 1) of a chunk's
+    upper-triangle cells into one packed buffer; numpy takes their ``log2``;
+    pass 2, ``fill_mean_gain_loss``, computes every cell's gain and loss
+    (Eq. 2-3) with the numpy operator's operations per state and sums the
+    states in :func:`~repro.core.operators.state_sum`'s order.  The
+    logarithm stays in numpy: numpy's vectorized float64 ``log2`` (e.g. its
+    AVX-512 build) does not round like the C library's on every input, so a
+    ``log2`` in C would change bits on such hosts.  A library without both
+    passes is never loaded.
+
 Selection: the ``REPRO_KERNEL`` environment variable (``numpy`` | ``c`` |
 ``auto``), overridden per-run by ``repro … --kernel`` (which calls
 :func:`set_default_kernel`, also exporting the choice to child worker
@@ -85,6 +98,8 @@ from typing import Callable, Dict, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from .operators import safe_log2
+
 __all__ = [
     "C_FLAGS",
     "C_LOOPS",
@@ -100,6 +115,7 @@ __all__ = [
     "temporal_cuts_numpy",
     "temporal_cuts_c",
     "CutReplay",
+    "mean_tables_c",
     "numba_available",
 ]
 
@@ -159,18 +175,23 @@ CACHE_KEEP = 4
 #: The compiled sweep loops of ``sweep.c``, the portable one first.
 C_LOOPS = ("scalar", "avx2")
 
+#: The two passes of the compiled ``mean`` table fill, in call order.
+_FILL_PASSES = ("fill_mean_macro", "fill_mean_gain_loss")
+
 
 @dataclass(frozen=True)
 class _Library:
-    """The loaded ``c`` library: its sweep loops and the replay.
+    """The loaded ``c`` library: its sweep loops, the replay and the table fill.
 
     ``loops`` holds the loops this CPU runs, by name (:data:`C_LOOPS`), each
     as its sweeps keyed by ``count``'s dtype; ``loop`` names the one bound,
-    the vector loop wherever it runs.
+    the vector loop wherever it runs.  ``fill`` is the ``mean`` fill's two
+    passes (:func:`mean_tables_c`).
     """
 
     loops: Dict[str, Dict[np.dtype, Callable[..., None]]]
     walk: Callable[..., int]
+    fill: "tuple[Callable[..., None], Callable[..., None]]"
 
     @property
     def loop(self) -> str:
@@ -231,9 +252,10 @@ def _cpu_runs_avx2(check: Callable[[], int]) -> bool:
 def _open(path: Path) -> "_Library | None":
     """Load ``path`` if it is private, matches the digest in its name and is complete.
 
-    Complete: it has every function of the tier, both loops and the CPU
-    check included (a library missing one is never loaded).  The AVX2 loop
-    is kept only when the CPU check answers yes.
+    Complete: it has every function of the tier, both loops, the CPU check,
+    the replay and both fill passes included (a library missing one is
+    never loaded).  The AVX2 loop is kept only when the CPU check answers
+    yes.
     """
     if not _private(path.parent, stat.S_IFDIR) or not _private(path, stat.S_IFREG):
         return None
@@ -257,7 +279,8 @@ def _open(path: Path) -> "_Library | None":
             sweeps[np.dtype(dtype)] = sweep
     check = getattr(library, "sweep_cpu_avx2", None)
     walk = getattr(library, "walk_int32", None)
-    if check is None or walk is None:
+    fill = tuple(getattr(library, name, None) for name in _FILL_PASSES)
+    if check is None or walk is None or None in fill:
         return None
     check.restype = ctypes.c_int
     check.argtypes = []
@@ -268,7 +291,10 @@ def _open(path: Path) -> "_Library | None":
         [ctypes.c_int64] * 5 + [ctypes.c_void_p] * 3
         + [ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64]
     )
-    return _Library(loops, walk)
+    for function, n_arrays in zip(fill, (4, 7)):
+        function.restype = None
+        function.argtypes = [ctypes.c_int64] * 5 + [ctypes.c_void_p] * n_arrays
+    return _Library(loops, walk, fill)
 
 
 def _build(compiler: str, source: bytes, key: str, directory: Path) -> "Path | str":
@@ -639,6 +665,62 @@ class CutReplay:
         if size < 0:
             raise RuntimeError("cut replay: the cut slabs do not match the hierarchy")
         return found[:size].T, None
+
+
+def mean_tables_c(
+    prefix_durations: np.ndarray,
+    prefix_rho: np.ndarray,
+    prefix_rho_log_rho: np.ndarray,
+    interval_durations: np.ndarray,
+    n_leaves: np.ndarray,
+    lo: int,
+    hi: int,
+) -> "tuple[np.ndarray, np.ndarray]":
+    """The ``mean`` operator's ``(gain, loss)`` of a chunk of nodes, compiled.
+
+    The prefixes are the chunk's state-major time prefixes, ``(X, c, T + 1)``
+    each; ``interval_durations`` is the ``(T, T)`` table of interval
+    durations and ``n_leaves`` the ``c`` nodes' leaf counts.  Returns the
+    start rows ``[lo, hi)``, both ``(c, hi - lo, T - lo)`` with zero
+    lower-triangle entries: bit for bit the numpy fill's
+    (``MeanOperator.gain_loss`` on the same prefixes).  Pass 1 writes the
+    macro proportions of the upper-triangle cells into one packed buffer,
+    numpy takes their ``log2`` (:func:`~repro.core.operators.safe_log2`, the
+    call the numpy fill makes: numpy's vectorized ``log2`` rounds unlike the
+    C library's on some inputs), and pass 2 scores every cell.
+    """
+    fill_macro, fill_gain_loss = _loaded_c_library().fill
+    n_states, n_nodes, n_slices = np.shape(prefix_durations)
+    n_slices -= 1
+    prefixes = [
+        np.ascontiguousarray(prefix, dtype=np.float64)
+        for prefix in (prefix_durations, prefix_rho, prefix_rho_log_rho)
+    ]
+    for prefix in prefixes:
+        if prefix.shape != (n_states, n_nodes, n_slices + 1):
+            raise ValueError(f"prefixes of different shapes: {[p.shape for p in prefixes]}")
+    durations = np.ascontiguousarray(interval_durations, dtype=np.float64)
+    leaves = np.ascontiguousarray(n_leaves, dtype=np.float64)
+    if durations.shape != (n_slices, n_slices) or leaves.shape != (n_nodes,):
+        raise ValueError(
+            f"expected ({n_slices}, {n_slices}) durations and ({n_nodes},) leaf counts, "
+            f"got {durations.shape} and {leaves.shape}"
+        )
+    if not 0 <= lo < hi <= n_slices:
+        raise ValueError(f"invalid start rows [{lo}, {hi}) for |T| = {n_slices}")
+    shape = (n_states, n_nodes, n_slices, lo, hi)
+    cells = (hi - lo) * n_slices - (lo + hi - 1) * (hi - lo) // 2
+    macro = np.empty(n_states * n_nodes * cells)
+    fill_macro(*shape, *(array.ctypes.data for array in (prefixes[0], durations, leaves, macro)))
+    log_macro = safe_log2(macro)
+    gain = np.empty((n_nodes, hi - lo, n_slices - lo))
+    loss = np.empty_like(gain)
+    scratch = np.empty(2 * n_states)
+    fill_gain_loss(
+        *shape,
+        *(array.ctypes.data for array in (*prefixes[1:], macro, log_macro, gain, loss, scratch)),
+    )
+    return gain, loss
 
 
 _SWEEPS = {"numpy": temporal_cuts_numpy, "c": temporal_cuts_c}

@@ -366,7 +366,9 @@ class SpatiotemporalAggregator:
         DP sweep tier (see :mod:`repro.core.kernels`): ``"numpy"``, ``"c"``
         or ``None``/``"auto"`` for the process default (``REPRO_KERNEL`` /
         auto-detection: ``c`` when it builds, else ``numpy``).  Every tier returns
-        bit-identical tables; the choice only affects speed.
+        bit-identical tables; the choice only affects speed.  The statistics
+        engine the aggregator builds fills its gain/loss tables on the same
+        tier (a shared ``stats`` keeps its own).
 
     Notes
     -----
@@ -395,13 +397,15 @@ class SpatiotemporalAggregator:
         kernel: "str | None" = None,
     ):
         self._model = model
-        self._stats = stats if stats is not None else IntervalStatistics(model, operator)
+        self._kernel = resolve_kernel(kernel)
+        self._stats = (
+            stats if stats is not None else IntervalStatistics(model, operator, kernel=self._kernel)
+        )
         # Resolved operator instance (picklable) — what the process-pool
         # workers re-instantiate their own statistics engine with.
         self._operator = self._stats.operator
         self._epsilon = self.EPSILON if epsilon is None else float(epsilon)
         self._jobs = jobs
-        self._kernel = resolve_kernel(kernel)
 
     # ------------------------------------------------------------------ #
     # Accessors

@@ -1,5 +1,5 @@
-/* Algorithm 1's temporal-cut sweep and cut replay, the ``c`` tier of
- * repro.core.kernels.
+/* Algorithm 1's temporal-cut sweep, cut replay and the ``mean`` operator's
+ * gain/loss table fill, the ``c`` tier of repro.core.kernels.
  *
  * The per-cell two-pass recurrence of ``temporal_cuts_numpy``, node by node
  * over an (N, T, T) slab of C-contiguous tables.  Pass 1 takes the exact
@@ -30,6 +30,12 @@
  * the stored value is still ``lb[k] + rb[k]`` at the chosen ``k``: both
  * loops store the same bits.  Off x86-64 the ``_avx2`` symbols are the
  * scalar loop and ``sweep_cpu_avx2`` answers 0.
+ *
+ * The table fill (``fill_mean_macro``, ``fill_mean_gain_loss``) is the
+ * arithmetic of ``IntervalStatistics``' fill for the ``mean`` operator
+ * (Eq. 1-3) as two passes around numpy's ``log2``, which stays in numpy:
+ * numpy's vectorized float64 ``log2`` does not round like the C library's
+ * on every input, and the numpy tier takes its logarithms from numpy.
  *
  * Build with -ffp-contract=off and without -ffast-math: every float is the
  * same IEEE operation on the same operands as in the numpy tier.  Counts are
@@ -272,4 +278,118 @@ int64_t walk_int32(int64_t n_ps, int64_t n, int64_t root, int64_t n_heights,
         }
     }
     return size;
+}
+
+/* The ``mean`` operator's gain/loss table fill, for one chunk of ``n_nodes``
+ * nodes and the start rows [lo, hi) of ``n`` slices over ``n_states`` states.
+ * The chunk's cells are the intervals (i, j) with lo <= i < hi and
+ * i <= j < n, packed row by row (``fill_cells`` of them per node).  Every
+ * per-state array is state-major: ``prefix[(x * n_nodes + node) * (n + 1)
+ * + t]`` is a time prefix (the sum over the node's slices before t), and
+ * ``macro[(x * n_nodes + node) * cells + cell]`` a packed cell. */
+static int64_t fill_cells(int64_t n, int64_t lo, int64_t hi)
+{
+    return (hi - lo) * n - (lo + hi - 1) * (hi - lo) / 2;
+}
+
+/* Pass 1, Eq. 1: macro = (pd[j + 1] - pd[i]) / den per state and cell, with
+ * den = leaves[node] * durations[i * n + j] (the node's leaf count times the
+ * interval's duration) replaced by 1.0 unless it is > 0. */
+void fill_mean_macro(int64_t n_states, int64_t n_nodes, int64_t n, int64_t lo, int64_t hi,
+                     const double *prefix_durations, const double *durations,
+                     const double *leaves, double *macro)
+{
+    int64_t cells = fill_cells(n, lo, hi);
+    for (int64_t s = 0; s < n_states * n_nodes; s++) {
+        const double *pd = prefix_durations + s * (n + 1);
+        double count = leaves[s % n_nodes];
+        double *out = macro + s * cells;
+        for (int64_t i = lo; i < hi; i++) {
+            const double *duration = durations + i * n;
+            for (int64_t j = i; j < n; j++) {
+                double den = count * duration[j];
+                *out++ = (pd[j + 1] - pd[i]) / (den > 0 ? den : 1.0);
+            }
+        }
+    }
+}
+
+/* ``operators._pairwise_sum``: numpy's contiguous pairwise order. */
+static double pairwise_sum(const double *v, int64_t n)
+{
+    if (n > 128) {
+        int64_t half = n / 2;
+        half -= half % 8;
+        return pairwise_sum(v, half) + pairwise_sum(v + half, n - half);
+    }
+    double total = 0.0;
+    int64_t stop = 0;
+    if (n >= 8) {
+        double p[8];
+        stop = n - n % 8;
+        for (int k = 0; k < 8; k++)
+            p[k] = v[k];
+        for (int64_t x = 8; x < stop; x += 8)
+            for (int k = 0; k < 8; k++)
+                p[k] += v[x + k];
+        total = ((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7]));
+    }
+    for (int64_t x = stop; x < n; x++)
+        total += v[x];
+    return total;
+}
+
+/* Pass 2, Eq. 2-3: each cell's gain and loss, in the operations of
+ * ``operators._representative_gain_loss`` state by state (``log_macro`` is
+ * numpy's log2 of ``macro`` where it is > 0, else 0), summed over states as
+ * ``operators.state_sum`` does.  ``gain`` and ``loss`` are
+ * (n_nodes, hi - lo, n - lo): the end columns j >= lo of the rows, zero
+ * where j < i.  ``scratch`` holds 2 * n_states doubles. */
+void fill_mean_gain_loss(int64_t n_states, int64_t n_nodes, int64_t n, int64_t lo, int64_t hi,
+                         const double *prefix_rho, const double *prefix_rho_log_rho,
+                         const double *macro, const double *log_macro,
+                         double *gain, double *loss, double *scratch)
+{
+    int64_t cells = fill_cells(n, lo, hi), rows = hi - lo, cols = n - lo;
+    int64_t plane = n_nodes * cells, prefix_plane = n_nodes * (n + 1);
+    double *g = scratch, *l = scratch + n_states;
+    for (int64_t node = 0; node < n_nodes; node++) {
+        int64_t cell = node * cells;
+        const double *rho = prefix_rho + node * (n + 1);
+        const double *rlr = prefix_rho_log_rho + node * (n + 1);
+        for (int64_t i = lo; i < hi; i++) {
+            double *gain_row = gain + (node * rows + i - lo) * cols;
+            double *loss_row = loss + (node * rows + i - lo) * cols;
+            for (int64_t j = lo; j < i; j++)
+                gain_row[j - lo] = loss_row[j - lo] = 0.0;
+            for (int64_t j = i; j < n; j++, cell++) {
+                /* Below 8 states the sum is sequential from +0.0: it runs
+                 * as the states come, with no scratch. */
+                double gain_sum = 0.0, loss_sum = 0.0;
+                for (int64_t x = 0; x < n_states; x++) {
+                    const double *rho_x = rho + x * prefix_plane, *rlr_x = rlr + x * prefix_plane;
+                    double m = macro[x * plane + cell], lm = log_macro[x * plane + cell];
+                    double srho = rho_x[j + 1] - rho_x[i], srlr = rlr_x[j + 1] - rlr_x[i];
+                    double gx = m > 0 ? m * lm : 0.0;
+                    gx = gx - srlr;
+                    double lx = srlr - srho * lm;
+                    if (m <= 0 && srho <= 0)
+                        gx = lx = 0.0;
+                    if (n_states < 8) {
+                        gain_sum += gx;
+                        loss_sum += lx;
+                    } else {
+                        g[x] = gx;
+                        l[x] = lx;
+                    }
+                }
+                if (n_states >= 8) {
+                    gain_sum = pairwise_sum(g, n_states);
+                    loss_sum = pairwise_sum(l, n_states);
+                }
+                gain_row[j - lo] = 0.0 + gain_sum;
+                loss_row[j - lo] = 0.0 + loss_sum;
+            }
+        }
+    }
 }

@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.criteria import IntervalStatistics
 from repro.core.hierarchy import Hierarchy
+from repro.core.kernels import available_kernels
 from repro.core.microscopic import MicroscopicModel
 from repro.core.operators import MeanOperator, xlogx
 from repro.core.spatiotemporal import SpatiotemporalAggregator
@@ -134,8 +135,13 @@ class TestMacroProportions:
         assert stats.microscopic_information() > 0
 
 
+@pytest.mark.parametrize("kernel", available_kernels())
 class TestConcurrentFirstUse:
-    """Threads sharing one statistics engine never read a half-written slab row."""
+    """Threads sharing one statistics engine never read a half-written slab row.
+
+    On every table fill: the held filler hooks ``_chunk_tables``, which runs
+    the numpy fill or the compiled ``mean`` fill.
+    """
 
     @staticmethod
     def _model():
@@ -180,10 +186,10 @@ class TestConcurrentFirstUse:
         assert not filler.is_alive()
         return results
 
-    def test_reader_gets_complete_tables_while_a_filler_is_held(self, monkeypatch):
+    def test_reader_gets_complete_tables_while_a_filler_is_held(self, monkeypatch, kernel):
         model = self._model()
-        reference = SpatiotemporalAggregator(model).compute_tables_reference(0.5)
-        shared = SpatiotemporalAggregator(model)
+        reference = SpatiotemporalAggregator(model, kernel="numpy").compute_tables_reference(0.5)
+        shared = SpatiotemporalAggregator(model, kernel=kernel)
         results = self._beside_held_filler(
             monkeypatch, lambda: shared.compute_tables(0.5), lambda: shared.compute_tables(0.5)
         )
@@ -195,13 +201,13 @@ class TestConcurrentFirstUse:
                 assert np.array_equal(tables[key].cut, reference[key].cut), (name, key)
                 assert np.array_equal(tables[key].count, reference[key].count), (name, key)
 
-    def test_threads_touching_different_nodes_of_one_height(self, monkeypatch):
+    def test_threads_touching_different_nodes_of_one_height(self, monkeypatch, kernel):
         # Both first touches fill the same height: the reader's node is in
         # the chunk the filler is held in.
         model = self._model()
         first, last = model.hierarchy.leaves[0], model.hierarchy.leaves[-1]
-        reference = IntervalStatistics(model)
-        shared = IntervalStatistics(model)
+        reference = IntervalStatistics(model, kernel="numpy")
+        shared = IntervalStatistics(model, kernel=kernel)
 
         def copied_tables(node):
             return lambda: tuple(np.array(table) for table in shared.tables(node))
@@ -211,7 +217,7 @@ class TestConcurrentFirstUse:
             for got, want in zip(results[name], reference.tables(node)):
                 assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
 
-    def test_many_threads_first_touch_under_fast_switching(self):
+    def test_many_threads_first_touch_under_fast_switching(self, kernel):
         # More threads than cores, each first touching one node of a fresh
         # shared engine, with the interpreter switching threads as often as
         # it can: every copy taken must equal an unshared engine's tables.
@@ -220,14 +226,14 @@ class TestConcurrentFirstUse:
             rng.random((16, 12, 3)) / 3.0, Hierarchy.balanced(16, fanout=2), StateRegistry(list("abc"))
         )
         nodes = list(model.hierarchy.iter_nodes())
-        reference = IntervalStatistics(model)
+        reference = IntervalStatistics(model, kernel="numpy")
         expected = {node.index: reference.tables(node) for node in nodes}
         n_threads = 8
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for round_ in range(5):
-                shared = IntervalStatistics(model)
+                shared = IntervalStatistics(model, kernel=kernel)
                 barrier = threading.Barrier(n_threads, timeout=30)
                 results, errors = {}, []
 

@@ -25,19 +25,29 @@ and never touches the user's cache.
 from __future__ import annotations
 
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro.cli import main
 from repro.core import kernels
+from repro.core.criteria import IntervalStatistics
+from repro.core.hierarchy import Hierarchy
 from repro.core.kernels import KernelUnavailableError
+from repro.core.microscopic import MicroscopicModel
+from repro.core.operators import MeanOperator, available_operators
 from repro.core.spatiotemporal import SpatiotemporalAggregator
+from repro.trace.states import StateRegistry
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "properties"))
+from test_property_engine import _mean_tables_numpy  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[2]
 TRACE = ROOT / "tests" / "data" / "corpus" / "case_a.csv"
@@ -481,4 +491,156 @@ class TestCompiledLoops:
         assert kernels.c_loop() == "avx2"
         planted = _sweep_bits(slab, kernels.temporal_cuts_c)
         assert shipped == reference
+        assert planted != reference
+
+
+def _fill_model(n_states: int = 9) -> MicroscopicModel:
+    """A 16 x 24 model of ``n_states`` states: some 84 000 macro proportions."""
+    rng = np.random.default_rng(7)
+    rho = rng.dirichlet(np.ones(n_states + 1), size=(16, 24))[:, :, :n_states]
+    states = StateRegistry([f"s{i}" for i in range(n_states)])
+    return MicroscopicModel.from_proportions(rho, Hierarchy.balanced(16, fanout=2), states)
+
+
+def _slab_bits(model: MicroscopicModel, kernel: str) -> list:
+    """The ``mean`` gain and loss slabs of every height, filled on ``kernel``, as int64 bits."""
+    stats = IntervalStatistics(model, "mean", kernel=kernel)
+    levels = enumerate(model.hierarchy.height_plan.levels)
+    slabs = [stats.height_tables(height, level.nodes) for height, level in levels]
+    return [table.view(np.int64).tolist() for pair in slabs for table in pair]
+
+
+def _signed_zero_prefixes() -> tuple:
+    """``mean_tables_c`` arguments whose cells hold a zero macro proportion beside
+    a positive proportion sum, and ``-0.0`` losses in every one of 9 states.
+
+    Durations are zero, so every macro proportion is zero; the proportion
+    prefixes grow, so no cell is dead; the ``rho log rho`` prefixes alternate
+    ``-0.0`` and ``+0.0``, so the cells ending on an even slice of a row
+    starting on an even slice have a ``-0.0`` loss in each state.
+    """
+    n_states, n_slices = 9, 6
+    shape = (n_states, 1, n_slices + 1)
+    rho_log_rho = np.where(np.arange(n_slices + 1) % 2 == 1, -0.0, 0.0)
+    prefixes = (
+        np.zeros(shape),
+        np.broadcast_to(np.arange(n_slices + 1.0), shape).copy(),
+        np.broadcast_to(rho_log_rho, shape).copy(),
+    )
+    return (*prefixes, np.ones((n_slices, n_slices)), np.ones(1), 0, n_slices)
+
+
+def _loose_mask_log2(values: np.ndarray) -> np.ndarray:
+    """``safe_log2`` with ``>=`` in place of ``> 0``: a planted mutant."""
+    result = np.zeros_like(values)
+    with np.errstate(divide="ignore"):
+        np.log2(values, out=result, where=values >= 0)
+    return result
+
+
+#: Planted fill mutants: (source text, its replacement, extra compiler flags).
+_FILL_MUTANTS = {
+    "sequential state sum from 8 states": ("if (n >= 8) {", "if (0) {", ()),
+    # Only a loss can be -0.0 in every state (a gain is macro * log2(macro)
+    # minus a sum, never -0.0).
+    "no final +0.0": ("= 0.0 + loss_sum;", "= loss_sum;", ()),
+    "log2 from the C library": (
+        "lm = log_macro[x * plane + cell];",
+        "lm = m > 0 ? __builtin_log2(m) : 0.0;",
+        ("-lm",),
+    ),
+}
+
+
+@needs_c
+class TestCompiledFill:
+    """The ``mean`` table fill of ``sweep.c``: its symbols, its dispatch, its bits."""
+
+    @pytest.mark.parametrize("missing", kernels._FILL_PASSES)
+    def test_a_library_missing_a_fill_pass_is_never_loaded(self, tmp_path, missing):
+        source = kernels._C_SOURCE.read_bytes()
+        directory = tmp_path / "private"
+        complete = _compile_private(directory, "complete", source)
+        lacking = _compile_private(directory, "lacking", source, f"-D{missing}={missing}_renamed")
+        assert isinstance(kernels._open(complete), kernels._Library)
+        assert kernels._open(lacking) is None
+
+    def test_only_the_mean_operator_on_c_runs_the_compiled_fill(self, monkeypatch):
+        model = _fill_model(3)
+        spy = mock.Mock(wraps=kernels.mean_tables_c)
+        monkeypatch.setattr(kernels, "mean_tables_c", spy)
+
+        def fills(**options) -> int:
+            spy.reset_mock()
+            SpatiotemporalAggregator(model, **options).build_tables()
+            return spy.call_count
+
+        monkeypatch.setenv(kernels.KERNEL_ENV, "numpy")
+        assert fills(operator="mean") == 0
+        assert fills(operator="mean", kernel="c") > 0
+        monkeypatch.setenv(kernels.KERNEL_ENV, "c")
+        assert fills(operator="mean") > 0
+        assert fills(operator="mean", kernel="numpy") == 0
+        for name in available_operators():
+            if name != "mean":
+                assert fills(operator=name) == 0, name
+
+        class Scaled(MeanOperator):
+            """A subclass may change the arithmetic: it is not the built-in mean."""
+
+        assert fills(operator=Scaled()) == 0
+
+    @pytest.mark.parametrize("operator", available_operators())
+    def test_analyze_json_is_byte_identical_across_tiers_for_every_operator(
+        self, monkeypatch, capsys, operator
+    ):
+        monkeypatch.setenv(kernels.KERNEL_ENV, "auto")
+        outputs = {}
+        for label, extra in (
+            ("numpy", ["--kernel", "numpy"]),
+            ("c", ["--kernel", "c"]),
+            ("c-jobs2", ["--kernel", "c", "--jobs", "2"]),
+        ):
+            argv = ["analyze", str(TRACE), "--slices", "40", "--json", "--operator", operator]
+            assert main([*argv, *extra]) == 0
+            outputs[label] = capsys.readouterr().out
+        assert outputs["c"] == outputs["numpy"]
+        assert outputs["c-jobs2"] == outputs["numpy"]
+
+    @pytest.mark.parametrize("mutant", [*_FILL_MUTANTS, "log2 mask >= 0"])
+    def test_planted_fill_mutants_are_caught(self, tmp_path, monkeypatch, mutant):
+        model = _fill_model()
+        if mutant == "log2 from the C library":
+            macro = np.concatenate([
+                stats.operator.macro_proportions(stats.interval_sums(node)).ravel()
+                for stats in [IntervalStatistics(model, "mean", kernel="numpy")]
+                for node in model.hierarchy.iter_nodes()
+            ])
+            macro = macro[macro > 0]
+            if np.array_equal(np.log2(macro), [math.log2(value) for value in macro]):
+                pytest.skip("numpy's log2 rounds like the C library's on this host")
+        crafted = _signed_zero_prefixes()
+
+        def bits() -> list:
+            tables = kernels.mean_tables_c(*crafted)
+            return _slab_bits(model, "c") + [table.view(np.int64).tolist() for table in tables]
+
+        with np.errstate(divide="ignore", invalid="ignore"):
+            crafted_numpy = _mean_tables_numpy(crafted[:3], *crafted[3:])
+        reference = _slab_bits(model, "numpy") + [t.view(np.int64).tolist() for t in crafted_numpy]
+        assert bits() == reference
+        if mutant in _FILL_MUTANTS:
+            original, replacement, flags = _FILL_MUTANTS[mutant]
+            source = kernels._C_SOURCE.read_text()
+            assert source.count(original) == 1
+            path = _compile_private(
+                tmp_path / "private", "mutant", source.replace(original, replacement).encode(), *flags
+            )
+            library = kernels._open(path)
+            assert isinstance(library, kernels._Library)
+            monkeypatch.setattr(kernels, "_C_LIBRARY", library)
+        else:
+            monkeypatch.setattr(kernels, "safe_log2", _loose_mask_log2)
+        with np.errstate(invalid="ignore"):
+            planted = bits()
         assert planted != reference

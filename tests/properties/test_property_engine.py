@@ -4,9 +4,18 @@ The engine answers interval statistics two ways: vectorized ``(T, T)``
 tables (broadcast prefix subtraction over state-major chunks of a height's
 nodes) and O(1) scalar point queries (two prefix lookups).  Both must be
 *bit-for-bit* identical — compared as int64 bit patterns, so a ``-0.0``
-where ``0.0`` belongs fails — for every registered operator, from 1 to 12
-states (past the 8 where numpy's contiguous state sum turns pairwise), on
-balanced and uneven hierarchies, whatever the chunking of the table build.
+where ``0.0`` belongs fails — for every registered operator, on balanced
+and uneven hierarchies, whatever the chunking of the table build, and on
+both table fills: the numpy fill and, wherever the ``c`` tier builds, the
+compiled ``mean`` fill (``kernels.mean_tables_c``).  The drawn models have
+1 to 12 states and 127, 128, 129, 200 or 257 (every branch of numpy's
+contiguous state sum: sequential below 8, eight accumulators up to 128,
+halves above), states that never occur (the dead-cell path), idle and
+near-zero-length slices, and windows of larger models.  The compiled fill
+is also diffed against the numpy operator on crafted time prefixes that a
+valid model cannot produce: signed zeros, zero and negative denominators,
+a zero macro proportion beside positive proportion sums.
+
 The vectorized dynamic program must also be bit-for-bit identical to the
 per-cell reference implementation — that guarantee is what lets the
 benchmarks claim the speedup describes the same computation.
@@ -18,6 +27,7 @@ import itertools
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -26,9 +36,15 @@ from repro.core import criteria, kernels
 from repro.core.criteria import IntervalStatistics
 from repro.core.hierarchy import Hierarchy, HierarchyNode
 from repro.core.microscopic import MicroscopicModel
-from repro.core.operators import available_operators
+from repro.core.operators import IntervalSums, MeanOperator, available_operators
 from repro.core.spatiotemporal import SpatiotemporalAggregator
+from repro.core.timeslicing import TimeSlicing
 from repro.trace.states import StateRegistry
+
+#: Every table fill runnable here: numpy, and the compiled one wherever c builds.
+TIERS = kernels.available_kernels()
+
+needs_c = pytest.mark.skipif("c" not in TIERS, reason="no C compiler: the c tier is unavailable")
 
 _SETTINGS = settings(
     max_examples=25,
@@ -49,11 +65,25 @@ def _tree(shape) -> Hierarchy:
     return Hierarchy(node(shape))
 
 
-def model_strategy(max_resources: int = 8, max_slices: int = 10, max_states: int = 12):
+#: State counts of the drawn models: 1 to 12, and around numpy's pairwise
+#: sum's 128-value block and its halving (127, 128, 129, 200, 257).
+_STATE_COUNTS = st.one_of(
+    st.integers(min_value=1, max_value=12), st.sampled_from([127, 128, 129, 200, 257])
+)
+
+#: Slice widths: regular, irregular and near zero (``TimeSlicing`` refuses
+#: zero-length slices).
+_WIDTHS = st.sampled_from([1.0, 0.25, 7.5, 1e-12])
+
+
+def model_strategy(max_resources: int = 8, max_slices: int = 10):
     """Random microscopic models over balanced or uneven hierarchies.
 
     Uneven trees put leaves at different depths and make single-child
-    chains, so the nodes of one height have different leaf counts.
+    chains, so the nodes of one height have different leaf counts.  Up to
+    three states never occur and up to two slices are idle (no state at
+    all); slices have drawn widths; a model may be a window of a larger one,
+    its prefix tables built before the window or after.
     """
     shapes = st.recursive(
         st.none(), lambda sub: st.lists(sub, min_size=1, max_size=3), max_leaves=max_resources
@@ -67,20 +97,36 @@ def model_strategy(max_resources: int = 8, max_slices: int = 10, max_states: int
         else:
             hierarchy = _tree(draw(shapes))
         n_slices = draw(st.integers(min_value=1, max_value=max_slices))
-        n_states = draw(st.integers(min_value=1, max_value=max_states))
-        raw = draw(
-            arrays(
-                dtype=np.float64,
-                shape=(hierarchy.n_leaves, n_slices, n_states),
-                elements=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+        n_states = draw(_STATE_COUNTS)
+        shape = (hierarchy.n_leaves, n_slices, n_states)
+        if n_states <= 12:
+            raw = draw(
+                arrays(
+                    dtype=np.float64,
+                    shape=shape,
+                    elements=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+                )
             )
-        )
+        else:
+            raw = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(shape)
+        raw[:, :, draw(st.lists(st.integers(0, n_states - 1), max_size=3))] = 0.0
+        raw[:, draw(st.lists(st.integers(0, n_slices - 1), max_size=2)), :] = 0.0
         # Normalize so per-cell totals stay within [0, 1].
         totals = raw.sum(axis=2, keepdims=True)
         scale = np.where(totals > 1.0, totals, 1.0)
         rho = raw / scale
+        widths = draw(st.lists(_WIDTHS, min_size=n_slices, max_size=n_slices))
+        slicing = TimeSlicing(np.concatenate([[0.0], np.cumsum(widths)]))
         states = StateRegistry([f"s{i}" for i in range(n_states)])
-        return MicroscopicModel.from_proportions(rho, hierarchy, states)
+        model = MicroscopicModel(
+            rho * slicing.durations[None, :, None], hierarchy, slicing, states
+        )
+        if n_slices > 1 and draw(st.booleans()):
+            if draw(st.booleans()):
+                model.cumulative_tables()
+            start = draw(st.integers(0, n_slices - 2))
+            model = model.window(start, draw(st.integers(start + 1, n_slices)))
+        return model
 
     return build()
 
@@ -106,38 +152,41 @@ def _assert_same_bits(actual: np.ndarray, expected: np.ndarray, label=None) -> N
 
 
 class TestPointQueriesMatchTables:
+    @pytest.mark.parametrize("kernel", TIERS)
     @_SETTINGS
     @given(model=model_strategy(), operator=_OPERATORS)
-    def test_scalar_gain_loss_bitwise_identical_to_tables(self, model, operator):
+    def test_scalar_gain_loss_bitwise_identical_to_tables(self, kernel, model, operator):
         """O(1) point queries == table entries, bit for bit (lower triangles +0.0).
 
-        Two engine instances over the same model: one serves full tables,
-        the other only ever answers per-cell scalar queries (so its table
-        cache never exists and the prefix-lookup path is exercised).
+        Two engine instances over the same model: one serves full tables
+        from the ``kernel`` tier's fill, the other only ever answers
+        per-cell scalar queries (so its table cache never exists and the
+        prefix-lookup path is exercised).
         """
-        table_stats = IntervalStatistics(model, operator)
-        point_stats = IntervalStatistics(model, operator)
+        table_stats = IntervalStatistics(model, operator, kernel=kernel)
+        point_stats = IntervalStatistics(model, operator, kernel="numpy")
         for node in model.hierarchy.iter_nodes():
             tables = table_stats.tables(node)
             for table, points in zip(tables, _point_tables(point_stats, node)):
                 _assert_same_bits(table, points, node.name)
 
+    @pytest.mark.parametrize("kernel", TIERS)
     @_SETTINGS
     @given(
         model=model_strategy(),
         operator=_OPERATORS,
         split=st.sampled_from(["nodes", "rows"]),
     )
-    def test_chunked_and_row_split_fills_bitwise_identical(self, model, operator, split):
+    def test_chunked_and_row_split_fills_bitwise_identical(self, kernel, model, operator, split):
         """Tables built under a budget that chunks a height's nodes two at a
-        time, or splits every node into blocks of start rows, equal the
-        point queries bit for bit."""
-        n_slices, n_states = model.n_slices, model.n_states
-        row_bytes = n_slices * (n_states * criteria._STATE_CELL_BYTES + criteria._CELL_BYTES)
+        time, or splits every node into blocks of start rows (``lo > 0``
+        from the second block on), equal the point queries bit for bit."""
+        n_slices = model.n_slices
         rows = max(1, (n_slices - 1) // 2)
+        table_stats = IntervalStatistics(model, operator, kernel=kernel)
+        point_stats = IntervalStatistics(model, operator, kernel="numpy")
+        row_bytes = table_stats._row_bytes()
         budget = 2 * n_slices * row_bytes if split == "nodes" else rows * row_bytes
-        table_stats = IntervalStatistics(model, operator)
-        point_stats = IntervalStatistics(model, operator)
         with mock.patch.object(kernels, "SWEEP_BATCH_BYTES", budget):
             assert table_stats._chunking() == ((2, n_slices) if split == "nodes" else (1, rows))
             for height, level in enumerate(model.hierarchy.height_plan.levels):
@@ -176,6 +225,67 @@ class TestPointQueriesMatchTables:
                 for j in range(i, model.n_slices):
                     point = stats.macro_proportions(node, i, j)
                     _assert_same_bits(point, table[i, j])
+
+
+#: Crafted prefix and duration values: signed zeros (half of the draws, so
+#: that a cell often meets one in every state), negatives, and magnitudes far
+#: from any proportion, none overflowing.
+_CRAFTED = [0.0, -0.0] * 3 + [0.5, 1.0, 3.0, -0.75, 1e-3, 250.0]
+
+
+def _mean_tables_numpy(prefixes, durations, n_leaves, lo, hi):
+    """The numpy fill of ``_chunk_tables`` on given time prefixes (mean operator)."""
+    n_slices = durations.shape[0]
+    sums = IntervalSums(
+        sum_durations=criteria._interval_table(prefixes[0], lo, hi),
+        total_duration=durations[None, lo:hi, lo:],
+        n_resources=n_leaves[:, None, None],
+        sum_rho=criteria._interval_table(prefixes[1], lo, hi),
+        sum_rho_log_rho=criteria._interval_table(prefixes[2], lo, hi),
+        n_cells=0,  # the mean operator does not read it
+    )
+    gain, loss = MeanOperator().gain_loss(sums)
+    lower = np.tri(hi - lo, n_slices - lo, -1, dtype=bool)
+    return np.where(lower, 0.0, gain), np.where(lower, 0.0, loss)
+
+
+@st.composite
+def crafted_prefixes(draw):
+    """``(prefixes, durations, n_leaves, lo, hi)`` with values from ``_CRAFTED``.
+
+    The three ``(X, c, T + 1)`` prefixes, the ``(T, T)`` durations and the
+    leaf counts (zero and negative included) are arbitrary, not the sums
+    of any model: zero and negative denominators, ``-0.0`` interval sums,
+    a zero macro proportion beside a positive proportion sum.  Half the
+    cases repeat one state's prefixes in every state, so a cell can hold
+    the same signed zero in all of them.
+    """
+    n_states = draw(_STATE_COUNTS)
+    n_nodes = draw(st.integers(1, 3))
+    n_slices = draw(st.integers(1, 6))
+    shape = (n_states, n_nodes, n_slices + 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    states = 1 if draw(st.booleans()) else n_states
+    prefixes = [
+        np.broadcast_to(rng.choice(_CRAFTED, size=(states,) + shape[1:]), shape).copy()
+        for _ in range(3)
+    ]
+    durations = rng.choice(_CRAFTED, size=(n_slices, n_slices))
+    n_leaves = rng.choice([0.0, 1.0, 3.0, -1.0], size=n_nodes)
+    lo = draw(st.integers(0, n_slices - 1))
+    return prefixes, durations, n_leaves, lo, draw(st.integers(lo + 1, n_slices))
+
+
+@needs_c
+class TestCompiledMeanFill:
+    @settings(max_examples=200, deadline=None)
+    @given(case=crafted_prefixes())
+    def test_crafted_prefixes_bitwise_identical_to_the_numpy_operator(self, case):
+        prefixes, *rest = case
+        with np.errstate(divide="ignore", invalid="ignore"):
+            expected = _mean_tables_numpy(prefixes, *rest)
+        for table, reference in zip(kernels.mean_tables_c(*prefixes, *rest), expected):
+            _assert_same_bits(table, reference)
 
 
 class TestVectorizedDynamicProgram:
