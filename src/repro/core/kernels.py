@@ -1,4 +1,4 @@
-"""Selectable DP-sweep kernels for the Algorithm 1 temporal-cut recurrence (and table fill).
+"""Selectable DP-sweep kernels for the Algorithm 1 temporal-cut recurrence (and table fill, CSV scan).
 
 Every kernel takes a *slab* of DP tables: ``best``/``cut``/``count`` of shape
 ``(N, T, T)`` — one ``(T, T)`` table per hierarchy node — or a single
@@ -72,6 +72,21 @@ coarsest-partition tie-break — and are **bit-identical by construction**
     ``log2`` in C would change bits on such hosts.  A library without both
     passes is never loaded.
 
+    And it holds the CSV scan of :func:`repro.trace.io.read_csv`,
+    ``csv_scan`` (:func:`csv_scan`): one stateless call per byte block
+    splits the rows into four fields, interns paths and states in
+    block-local hash tables and computes each timestamp whose text is on
+    Clinger's exact path (digits making an integer of at most 2^53, a
+    decimal exponent of at most 22 in size: one correctly rounded product
+    or quotient, the bits of ``float()``), flagging the others for
+    ``float()``.  It declines any block ``csv.reader`` might read otherwise
+    (a quote, a NUL, a bare ``\\r``, a blank line, a row of other than four
+    fields, an oversized field); the reader then runs the ``csv`` module.
+    Exact floats need every double operation rounded once, to double: a
+    build without ``FLT_EVAL_METHOD == 0`` reports the scan unavailable
+    (:func:`csv_scan_available`) and the reader keeps to the ``csv``
+    module.  A library without the scan is never loaded.
+
 Selection: the ``REPRO_KERNEL`` environment variable (``numpy`` | ``c`` |
 ``auto``), overridden per-run by ``repro … --kernel`` (which calls
 :func:`set_default_kernel`, also exporting the choice to child worker
@@ -116,6 +131,9 @@ __all__ = [
     "temporal_cuts_c",
     "CutReplay",
     "mean_tables_c",
+    "CsvBlock",
+    "csv_scan",
+    "csv_scan_available",
     "numba_available",
 ]
 
@@ -178,20 +196,27 @@ C_LOOPS = ("scalar", "avx2")
 #: The two passes of the compiled ``mean`` table fill, in call order.
 _FILL_PASSES = ("fill_mean_macro", "fill_mean_gain_loss")
 
+#: What ``csv_scan`` returns for a block it read (1: declined, 2: the scan
+#: cannot compute exact floats in this build).
+_CSV_DONE = 0
+
 
 @dataclass(frozen=True)
 class _Library:
-    """The loaded ``c`` library: its sweep loops, the replay and the table fill.
+    """The loaded ``c`` library: its sweep loops, the replay, the table fill and the CSV scan.
 
     ``loops`` holds the loops this CPU runs, by name (:data:`C_LOOPS`), each
     as its sweeps keyed by ``count``'s dtype; ``loop`` names the one bound,
     the vector loop wherever it runs.  ``fill`` is the ``mean`` fill's two
-    passes (:func:`mean_tables_c`).
+    passes (:func:`mean_tables_c`).  ``csv`` is ``csv_scan``
+    (:func:`csv_scan`), or ``None`` where the library reports it
+    unavailable (a build without ``FLT_EVAL_METHOD == 0``).
     """
 
     loops: Dict[str, Dict[np.dtype, Callable[..., None]]]
     walk: Callable[..., int]
     fill: "tuple[Callable[..., None], Callable[..., None]]"
+    csv: "Callable[..., int] | None"
 
     @property
     def loop(self) -> str:
@@ -253,9 +278,9 @@ def _open(path: Path) -> "_Library | None":
     """Load ``path`` if it is private, matches the digest in its name and is complete.
 
     Complete: it has every function of the tier, both loops, the CPU check,
-    the replay and both fill passes included (a library missing one is
-    never loaded).  The AVX2 loop is kept only when the CPU check answers
-    yes.
+    the replay, both fill passes and the CSV scan included (a library
+    missing one is never loaded).  The AVX2 loop is kept only when the CPU
+    check answers yes, the CSV scan only when it answers an empty block.
     """
     if not _private(path.parent, stat.S_IFDIR) or not _private(path, stat.S_IFREG):
         return None
@@ -280,7 +305,8 @@ def _open(path: Path) -> "_Library | None":
     check = getattr(library, "sweep_cpu_avx2", None)
     walk = getattr(library, "walk_int32", None)
     fill = tuple(getattr(library, name, None) for name in _FILL_PASSES)
-    if check is None or walk is None or None in fill:
+    scan = getattr(library, "csv_scan", None)
+    if check is None or walk is None or None in fill or scan is None:
         return None
     check.restype = ctypes.c_int
     check.argtypes = []
@@ -294,7 +320,14 @@ def _open(path: Path) -> "_Library | None":
     for function, n_arrays in zip(fill, (4, 7)):
         function.restype = None
         function.argtypes = [ctypes.c_int64] * 5 + [ctypes.c_void_p] * n_arrays
-    return _Library(loops, walk, fill)
+    scan.restype = ctypes.c_int64
+    scan.argtypes = (
+        [ctypes.c_char_p] + [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 9
+        + [ctypes.c_int64, ctypes.c_void_p]
+    )
+    empty = _ScanBuffers(0)
+    available = scan(b"", 0, 0, 0, *empty.pointers()) == _CSV_DONE
+    return _Library(loops, walk, fill, scan if available else None)
 
 
 def _build(compiler: str, source: bytes, key: str, directory: Path) -> "Path | str":
@@ -721,6 +754,89 @@ def mean_tables_c(
         *(array.ctypes.data for array in (*prefixes[1:], macro, log_macro, gain, loss, scratch)),
     )
     return gain, loss
+
+
+class _ScanBuffers:
+    """The output arrays of one ``csv_scan`` call over at most ``capacity`` rows."""
+
+    def __init__(self, capacity: int):
+        #: Slots per name table: a power of two of at least twice the rows.
+        self.table_size = 1 << max(1, (2 * capacity - 1).bit_length())
+        self.starts = np.empty(capacity)
+        self.ends = np.empty(capacity)
+        self.flags = np.empty(capacity, dtype=np.uint8)
+        self.row_starts = np.empty(capacity, dtype=np.int64)
+        self.paths = np.empty(capacity, dtype=np.int32)
+        self.states = np.empty(capacity, dtype=np.int32)
+        self.path_keys = np.empty((capacity, 2), dtype=np.int64)
+        self.state_keys = np.empty((capacity, 2), dtype=np.int64)
+        self.slots = np.empty(2 * self.table_size, dtype=np.int32)
+        self.counts = np.zeros(3, dtype=np.int64)
+
+    def pointers(self) -> tuple:
+        arrays = (
+            self.starts, self.ends, self.flags, self.row_starts, self.paths, self.states,
+            self.path_keys, self.state_keys, self.slots,
+        )
+        return (*(array.ctypes.data for array in arrays), self.table_size, self.counts.ctypes.data)
+
+
+@dataclass(frozen=True)
+class CsvBlock:
+    """The rows of one CSV byte block, as :func:`csv_scan` read them.
+
+    Row ``r`` has the block-local path and state codes ``paths[r]`` and
+    ``states[r]`` (each in order of first appearance in the block), whose
+    names are the bytes ``block[offset:offset + length]`` of the rows of
+    ``path_keys`` and ``state_keys``.  ``starts[r]`` and ``ends[r]`` are its
+    timestamps, except where bit 0 (start) or bit 1 (end) of ``flags[r]``
+    is set: that text is not on the scan's exact path and needs
+    ``float()``.  The row's text starts at ``row_starts[r]``.
+    """
+
+    starts: np.ndarray
+    ends: np.ndarray
+    flags: np.ndarray
+    row_starts: np.ndarray
+    paths: np.ndarray
+    states: np.ndarray
+    path_keys: np.ndarray
+    state_keys: np.ndarray
+
+
+def csv_scan_available() -> bool:
+    """Whether the ``c`` library loads and its CSV scan computes exact floats."""
+    library = _c_library()
+    return isinstance(library, _Library) and library.csv is not None
+
+
+def csv_scan(data: bytes, size: int, field_limit: int) -> "CsvBlock | None":
+    """The rows of ``data[:size]`` through ``sweep.c``'s ``csv_scan``, or ``None`` if it declines.
+
+    The block holds whole CSV rows of four fields, each ended by ``\\n`` or
+    ``\\r\\n`` (the last one may have no end).  The scan declines a block
+    holding a quote, a NUL, a bare ``\\r``, a blank line, a row of other than
+    four fields or a field of more than ``field_limit`` bytes (pass
+    ``csv.field_size_limit()``): those are left to the ``csv`` module.  It
+    also declines a block of more than ``size // 8 + 1`` rows, the room its
+    buffers have: such a block has a row shorter than ``a,s,0,1`` and its
+    newline, so a row with an empty field, which no trace row may have.
+    Raises :class:`KernelUnavailableError` where :func:`csv_scan_available`
+    is false.
+    """
+    scan = _loaded_c_library().csv
+    if scan is None:
+        raise KernelUnavailableError("the c library's CSV scan is unavailable in this build")
+    if not 0 <= size <= len(data):
+        raise ValueError(f"block size {size} outside the {len(data)} bytes given")
+    out = _ScanBuffers(size // 8 + 1)
+    if scan(data, size, field_limit, len(out.starts), *out.pointers()) != _CSV_DONE:
+        return None
+    rows, n_paths, n_states = out.counts.tolist()
+    return CsvBlock(
+        out.starts[:rows], out.ends[:rows], out.flags[:rows], out.row_starts[:rows],
+        out.paths[:rows], out.states[:rows], out.path_keys[:n_paths], out.state_keys[:n_states],
+    )
 
 
 _SWEEPS = {"numpy": temporal_cuts_numpy, "c": temporal_cuts_c}

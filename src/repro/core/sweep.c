@@ -1,5 +1,6 @@
-/* Algorithm 1's temporal-cut sweep, cut replay and the ``mean`` operator's
- * gain/loss table fill, the ``c`` tier of repro.core.kernels.
+/* Algorithm 1's temporal-cut sweep, cut replay, the ``mean`` operator's
+ * gain/loss table fill and the CSV scan, the ``c`` tier of
+ * repro.core.kernels.
  *
  * The per-cell two-pass recurrence of ``temporal_cuts_numpy``, node by node
  * over an (N, T, T) slab of C-contiguous tables.  Pass 1 takes the exact
@@ -36,6 +37,9 @@
  * (Eq. 1-3) as two passes around numpy's ``log2``, which stays in numpy:
  * numpy's vectorized float64 ``log2`` does not round like the C library's
  * on every input, and the numpy tier takes its logarithms from numpy.
+ *
+ * The CSV scan (``csv_scan``, at the end) reads ``repro.trace.io``'s row
+ * blocks: fields, interned names and the timestamps on the exact path.
  *
  * Build with -ffp-contract=off and without -ffast-math: every float is the
  * same IEEE operation on the same operands as in the numpy tier.  Counts are
@@ -392,4 +396,213 @@ void fill_mean_gain_loss(int64_t n_states, int64_t n_nodes, int64_t n, int64_t l
             }
         }
     }
+}
+
+/* The CSV scan of ``repro.trace.io``: one block of CSV rows (the header
+ * already taken off), each row up to ``\n`` (or ``\r\n``) split into four
+ * fields at ``,``.  The scan is stateless, allocates nothing, reads only
+ * ``data[0:size)`` and does not depend on the locale.  It declines the
+ * block (returns CSV_DECLINED, ``counts[0]`` then naming the row) on a
+ * quote, a NUL, a bare ``\r``, a blank line, a row of other than four
+ * fields, a field of more than ``field_limit`` bytes, or more rows than
+ * ``capacity``: ``csv.reader`` might read such a block otherwise, so it is
+ * left to the Python parser.
+ *
+ * Paths and states are interned as they come: each goes into its own
+ * open-addressing table (FNV-1a, linear probing, every hit verified with
+ * memcmp), reset on entry.  A table starts at CSV_TABLE_START slots and
+ * doubles, rehashing its names, whenever it gets half full; ``table_size``
+ * slots, a power of two of at least twice ``capacity``, are room for every
+ * row's name at that load.  Row r gets block-local codes ``paths[r]`` and
+ * ``states[r]`` in order of first appearance, and ``path_keys`` /
+ * ``state_keys`` hold the (offset, length) of each distinct name.
+ *
+ * Timestamps are computed only on Clinger's exact path: a text of the form
+ * [+-]digits[.digits][(e|E)[+-]digits] (``.5`` and ``5.`` included) whose
+ * digits make an integer m <= 2^53 and whose decimal exponent k has
+ * |k| <= 22.  Both m and 10^|k| are exact doubles, so the one product or
+ * quotient is the correctly rounded value of the text, the value Python's
+ * ``float()`` gives.  Any other text is flagged in ``flags[r]`` (bit 0 the
+ * start, bit 1 the end) and left to ``float()``; ``row_starts[r]`` is the
+ * row's offset, for reading it.  That needs every double operation to round
+ * once, to double: without FLT_EVAL_METHOD == 0 the scan answers
+ * CSV_UNAVAILABLE.  ``counts`` receives the rows, distinct paths and
+ * distinct states. */
+#include <float.h>
+#include <string.h>
+
+#define CSV_DONE 0
+#define CSV_DECLINED 1
+#define CSV_UNAVAILABLE 2
+
+#define CSV_TABLE_START 256
+
+typedef struct {
+    int32_t *slots;
+    uint64_t mask, limit;
+    int64_t *keys;
+    int32_t size;
+} csv_table;
+
+static uint64_t csv_hash(const unsigned char *text, int64_t length)
+{
+    uint64_t hash = 14695981039346656037ULL;
+    for (int64_t i = 0; i < length; i++)
+        hash = (hash ^ text[i]) * 1099511628211ULL;
+    return hash;
+}
+
+/* An empty table of ``slots`` slots (a power of two) within ``limit``. */
+static csv_table csv_table_new(int32_t *slots, int64_t *keys, uint64_t limit)
+{
+    csv_table table = {slots, (limit < CSV_TABLE_START ? limit : CSV_TABLE_START) - 1,
+                       limit, keys, 0};
+    memset(slots, 0xff, (table.mask + 1) * sizeof(int32_t));
+    return table;
+}
+
+/* Double the table and put its names back (code order). */
+static void csv_grow(csv_table *table, const unsigned char *data)
+{
+    table->mask = 2 * table->mask + 1;
+    memset(table->slots, 0xff, (table->mask + 1) * sizeof(int32_t));
+    for (int32_t code = 0; code < table->size; code++) {
+        const int64_t *key = table->keys + 2 * (int64_t)code;
+        uint64_t slot = csv_hash(data + key[0], key[1]) & table->mask;
+        while (table->slots[slot] >= 0)
+            slot = (slot + 1) & table->mask;
+        table->slots[slot] = code;
+    }
+}
+
+/* The block-local code of ``data[offset:offset + length)``, added if new. */
+static int32_t csv_intern(csv_table *table, const unsigned char *data, int64_t offset,
+                          int64_t length)
+{
+    uint64_t slot = csv_hash(data + offset, length) & table->mask;
+    for (;; slot = (slot + 1) & table->mask) {
+        int32_t code = table->slots[slot];
+        if (code >= 0) {
+            const int64_t *key = table->keys + 2 * (int64_t)code;
+            if (key[1] == length && memcmp(data + key[0], data + offset, (size_t)length) == 0)
+                return code;
+            continue;
+        }
+        code = table->size++;
+        table->keys[2 * (int64_t)code] = offset;
+        table->keys[2 * (int64_t)code + 1] = length;
+        table->slots[slot] = code;
+        if (2 * (uint64_t)table->size > table->mask && table->mask + 1 < table->limit)
+            csv_grow(table, data);
+        return code;
+    }
+}
+
+static const double csv_powers[23] = {
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+    1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+};
+
+/* 1 and the value of ``text`` in ``*value`` when it is on the exact path. */
+static int csv_float(const unsigned char *text, int64_t length, double *value)
+{
+    int64_t i = 0, digits = 0, scale = 0, exponent = 0;
+    uint64_t mantissa = 0;
+    int negative = 0, exact = 1;
+    if (i < length && (text[i] == '+' || text[i] == '-'))
+        negative = text[i++] == '-';
+    for (int point = 0;; i++) {
+        if (i < length && text[i] == '.' && !point) {
+            point = 1;
+            continue;
+        }
+        if (i == length || (unsigned)(text[i] - '0') > 9)
+            break;
+        digits++;
+        scale -= point;
+        /* Past 2^53 / 10 one more digit may leave the exact range. */
+        if (mantissa > 900719925474099ULL)
+            exact = 0;
+        else
+            mantissa = 10 * mantissa + (uint64_t)(text[i] - '0');
+    }
+    if (digits == 0)
+        return 0;
+    if (i < length && (text[i] == 'e' || text[i] == 'E')) {
+        int minus = 0;
+        if (++i < length && (text[i] == '+' || text[i] == '-'))
+            minus = text[i++] == '-';
+        if (i == length)
+            return 0;
+        for (; i < length && (unsigned)(text[i] - '0') <= 9; i++)
+            if (exponent < 100000)
+                exponent = 10 * exponent + (text[i] - '0');
+        scale += minus ? -exponent : exponent;
+    }
+    if (i != length || !exact || mantissa > (1ULL << 53) || scale < -22 || scale > 22)
+        return 0;
+    double result = (double)mantissa;
+    result = scale < 0 ? result / csv_powers[-scale] : result * csv_powers[scale];
+    *value = negative ? -result : result;
+    return 1;
+}
+
+int64_t csv_scan(const char *text, int64_t size, int64_t field_limit, int64_t capacity,
+                 double *starts, double *ends, uint8_t *flags, int64_t *row_starts,
+                 int32_t *paths, int32_t *states, int64_t *path_keys, int64_t *state_keys,
+                 int32_t *table_slots, int64_t table_size, int64_t *counts)
+{
+#if !defined(FLT_EVAL_METHOD) || FLT_EVAL_METHOD != 0
+    return CSV_UNAVAILABLE;
+#endif
+    const unsigned char *data = (const unsigned char *)text;
+    csv_table path_table = csv_table_new(table_slots, path_keys, (uint64_t)table_size);
+    csv_table state_table = csv_table_new(table_slots + table_size, state_keys,
+                                          (uint64_t)table_size);
+    int64_t row = 0, pos = 0;
+    for (; pos < size; row++) {
+        int64_t offset[4], length[4];
+        int n_fields = 0;
+        if (row == capacity)
+            goto decline;
+        row_starts[row] = pos;
+        for (int64_t field = pos;; pos++) {
+            unsigned char c = pos < size ? data[pos] : '\n';
+            int64_t end = pos;
+            if (c == '\r') {
+                if (pos + 1 >= size || data[pos + 1] != '\n')
+                    goto decline;
+                c = data[++pos];
+            } else if (c == '"' || c == '\0') {
+                goto decline;
+            }
+            if (c != ',' && c != '\n')
+                continue;
+            if (n_fields == 4 || end - field > field_limit)
+                goto decline;
+            offset[n_fields] = field;
+            length[n_fields++] = end - field;
+            field = pos + 1;
+            if (c == '\n')
+                break;
+        }
+        pos++;
+        if (n_fields != 4)
+            goto decline;
+        paths[row] = csv_intern(&path_table, data, offset[0], length[0]);
+        states[row] = csv_intern(&state_table, data, offset[1], length[1]);
+        uint8_t flag = 0;
+        if (!csv_float(data + offset[2], length[2], starts + row))
+            flag |= 1;
+        if (!csv_float(data + offset[3], length[3], ends + row))
+            flag |= 2;
+        flags[row] = flag;
+    }
+    counts[0] = row;
+    counts[1] = path_table.size;
+    counts[2] = state_table.size;
+    return CSV_DONE;
+decline:
+    counts[0] = row;
+    return CSV_DECLINED;
 }

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from ..core.hierarchy import Hierarchy
-from ..trace.io import TraceIOError, parse_csv, parse_paje
+from ..trace.io import TraceIOError, parse_csv, parse_paje, scan_csv
 from ..trace.states import StateRegistry
 from ..trace.trace import Trace
 from .format import DEFAULT_CHUNK_ROWS, TraceColumns
@@ -57,10 +57,19 @@ def read_live_source(
     rewritten history and needlessly rebuild the store.  This reader parses
     only the newline-terminated prefix; a partial trailing line is picked up
     by a later poll once the producer terminates it.
+
+    The prefix is UTF-8.  A CSV prefix goes as bytes to the compiled scan of
+    the ``c`` tier (:func:`repro.trace.io.scan_csv`); one it declines, and
+    every prefix on the ``numpy`` tier, is decoded and parsed by
+    :func:`repro.trace.io.parse_csv`, which reports any error.
     """
     source = Path(os.fspath(path))
     data = source.read_bytes()
     cut = data.rfind(b"\n") + 1
+    if source_format != "paje":
+        trace = scan_csv(source, io.BytesIO(data[:cut]), hierarchy=hierarchy, states=states)
+        if trace is not None:
+            return trace
     try:
         text = data[:cut].decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -25,6 +25,7 @@ from typing import Any, Iterator
 
 import numpy as np
 
+from ..core import kernels
 from ..core.hierarchy import Hierarchy, HierarchyError
 from .builder import TraceBuilder
 from .columns import TraceColumns
@@ -36,6 +37,7 @@ __all__ = [
     "write_csv",
     "read_csv",
     "parse_csv",
+    "scan_csv",
     "csv_size_bytes",
     "write_paje",
     "read_paje",
@@ -50,6 +52,12 @@ CSV_HEADER = ("resource_path", "state", "start", "end")
 #: block are dropped before the next is read, which bounds the parser's
 #: Python-object memory whatever the file size.
 _CSV_BLOCK_ROWS = 4096
+#: Bytes :func:`scan_csv` reads at a time; each block is cut at its last
+#: newline and the rest carried into the next.  The scan's buffers are
+#: O(block), whatever the file size.
+_CSV_SCAN_BYTES = 1 << 20
+#: The header line :func:`scan_csv` accepts, ended by ``\n`` or ``\r\n``.
+_CSV_HEADER_LINE = ",".join(CSV_HEADER).encode()
 
 
 class TraceIOError(ValueError):
@@ -118,9 +126,9 @@ def _csv_rows(trace: Trace) -> "Iterator[tuple[str, str, str, str]]":
 
 
 def write_csv(trace: Trace, path: str | os.PathLike[str]) -> int:
-    """Write ``trace`` as CSV; returns the number of bytes written."""
+    """Write ``trace`` as UTF-8 CSV; returns the number of bytes written."""
     target = Path(path)
-    with target.open("w", newline="") as handle:
+    with target.open("w", newline="", encoding="utf-8") as handle:
         csv.writer(handle).writerows(_csv_rows(trace))
     return target.stat().st_size
 
@@ -137,14 +145,81 @@ def read_csv(
     hierarchy: Hierarchy | None = None,
     states: StateRegistry | None = None,
 ) -> Trace:
-    """Read a CSV trace written by :func:`write_csv`.
+    """Read a UTF-8 CSV trace written by :func:`write_csv`.
 
     When ``hierarchy`` is omitted it is rebuilt from the resource paths found
     in the file (leaf order = order of first appearance).
+
+    On the ``c`` kernel tier the file's bytes go through the compiled scan
+    (:func:`scan_csv`); any file it declines, and every file on the
+    ``numpy`` tier, is parsed by :func:`parse_csv`.  Both give the same
+    trace, and every error is :func:`parse_csv`'s.
     """
     source = Path(path)
-    with source.open("r", newline="") as handle:
+    with source.open("rb") as stream:
+        trace = scan_csv(source, stream, hierarchy=hierarchy, states=states)
+    if trace is not None:
+        return trace
+    with source.open("r", newline="", encoding="utf-8") as handle:
         return parse_csv(source, handle, hierarchy=hierarchy, states=states)
+
+
+def _scan_enabled() -> bool:
+    """Whether CSV bytes go through the compiled scan: the default tier is ``c``."""
+    try:
+        return kernels.default_kernel() == "c" and kernels.csv_scan_available()
+    except kernels.KernelUnavailableError:
+        return False
+
+
+def scan_csv(
+    source: Path,
+    stream: "io.BufferedIOBase",
+    hierarchy: Hierarchy | None = None,
+    states: StateRegistry | None = None,
+) -> "Trace | None":
+    """The trace of the CSV bytes of ``stream`` through the compiled scan, or ``None``.
+
+    The bytes entry point of :func:`read_csv` and
+    :func:`repro.store.read_live_source`, used when the default kernel tier
+    is ``c`` (``None`` on the ``numpy`` tier, before anything is read).
+    The header line must be :data:`CSV_HEADER` as written, ended by
+    ``\\n`` or ``\\r\\n``.  The rest is read in blocks of
+    :data:`_CSV_SCAN_BYTES` cut at their last newline (a final row without
+    one is the last block); each block must be valid UTF-8 and goes to
+    ``csv_scan`` of the ``c`` library (:func:`repro.core.kernels.csv_scan`),
+    which splits the rows, interns their paths and states and computes the
+    timestamps that are on its exact path; Python decodes only each block's
+    distinct names and calls ``float()`` on the other timestamps.  Every
+    row then passes :func:`parse_csv`'s checks.
+
+    Returns ``None`` — the caller parses the input with :func:`parse_csv`,
+    which reports the error, if any — on anything the scan does not read
+    exactly as ``csv.reader`` does or any row :func:`parse_csv` would
+    reject: another header, a quote, a NUL, a bare ``\\r``, a blank line, a
+    row of other than four fields, a field longer than
+    ``csv.field_size_limit()``, invalid UTF-8, a timestamp ``float()``
+    refuses, a non-finite or reversed interval, an empty path or state.
+    Errors of the whole trace (no rows, inconsistent paths, a leaf missing
+    from ``hierarchy``) are raised as :func:`parse_csv` raises them.
+    """
+    if not _scan_enabled():
+        return None
+    header = stream.readline(len(_CSV_HEADER_LINE) + 2)
+    if header not in (_CSV_HEADER_LINE + b"\n", _CSV_HEADER_LINE + b"\r\n"):
+        return None
+    blocks = _CsvBlocks(source)
+    field_limit = csv.field_size_limit()
+    carry = b""
+    while True:
+        chunk = stream.read(_CSV_SCAN_BYTES)
+        data = carry + chunk if carry else chunk
+        cut = data.rfind(b"\n") + 1 if chunk else len(data)
+        if cut and not blocks.scan(data, cut, field_limit):
+            return None
+        if not chunk:
+            return blocks.trace(hierarchy, states)
+        carry = data[cut:]
 
 
 def parse_csv(
@@ -164,6 +239,11 @@ def parse_csv(
     per-interval objects: the result is the trace ``Trace(intervals)`` would
     build from one :class:`StateInterval` per row — same row order, state
     ids and error messages (the first bad row's, with its line number).
+
+    The reference reader: the ``numpy`` tier's, and the ``c`` tier's for
+    every input its compiled scan (:func:`scan_csv`) declines, so every
+    error message comes from here.  ``handle`` should decode UTF-8
+    (:func:`read_csv` opens files so).
     """
     reader = csv.reader(handle)
     try:
@@ -232,10 +312,11 @@ def _raise_row_error(source: Path, line_number: int, row: "list[str]") -> None:
 class _CsvBlocks:
     """Checked, dictionary-encoded CSV row blocks, assembled into a trace.
 
-    Paths and states are coded in order of first appearance.  Every row
-    check (width, empty path, timestamps, bounds, empty state) runs as one
-    vector test per block; the first flagged row is re-checked alone for
-    its message.
+    Paths and states are coded in order of first appearance.  Blocks come
+    from :func:`parse_csv` (:meth:`add`, row lists) or from the compiled
+    scan (:meth:`scan`, bytes); both run the same row checks
+    (:meth:`_flagged`) as one vector test per block.  :meth:`add` re-checks
+    the first flagged row alone for its message; :meth:`scan` declines.
     """
 
     def __init__(self, source: Path):
@@ -272,10 +353,7 @@ class _CsvBlocks:
             states, _ = self._encode(state_texts, self._state_codes)
             starts, bad_starts = _floats(start_texts)
             ends, bad_ends = _floats(end_texts)
-            flagged = ~(np.isfinite(starts) & np.isfinite(ends)) | (ends < starts)
-            flagged |= np.array([not parts for parts in self._parts])[paths]
-            if "" in self._state_codes:
-                flagged |= states == self._state_codes[""]
+            flagged = self._flagged(starts, ends, paths, states)
             for bad in (bad_starts, bad_ends):
                 if bad is not None:
                     flagged |= bad
@@ -288,12 +366,74 @@ class _CsvBlocks:
                 f"{self._source}:{first_line + limit}: expected 4 columns, got {widths[limit]}"
             )
 
+    def _flagged(
+        self, starts: np.ndarray, ends: np.ndarray, paths: np.ndarray, states: np.ndarray
+    ) -> np.ndarray:
+        """The rows of a block with a non-finite or reversed interval, an empty path or state."""
+        flagged = ~(np.isfinite(starts) & np.isfinite(ends)) | (ends < starts)
+        flagged |= np.array([not parts for parts in self._parts])[paths]
+        if "" in self._state_codes:
+            flagged |= states == self._state_codes[""]
+        return flagged
+
+    @staticmethod
+    def _intern(
+        data: bytes, keys: np.ndarray, codes: "dict[str, int]"
+    ) -> "tuple[np.ndarray, list[str]]":
+        """The global code of each block-local name, and the names seen for the first time."""
+        names = [data[offset : offset + length].decode("utf-8") for offset, length in keys.tolist()]
+        known = len(codes)
+        lut = np.fromiter(
+            (codes.setdefault(name, len(codes)) for name in names), dtype=np.int32, count=len(names)
+        )
+        return lut, [name for name in names if codes[name] >= known]
+
+    def scan(self, data: bytes, size: int, field_limit: int) -> bool:
+        """Add the whole CSV rows of ``data[:size]`` through the compiled scan.
+
+        ``False`` where it declines: a block the scan declines, or with a row
+        :meth:`add` would reject, is not added.  Names keep their order of
+        first appearance: the scan's block-local codes follow it, and are
+        mapped to the global ones in that order.
+        """
+        if not data.isascii():
+            try:
+                data[:size].decode("utf-8")
+            except UnicodeDecodeError:
+                return False
+        rows = kernels.csv_scan(data, size, field_limit)
+        if rows is None:
+            return False
+        starts, ends = rows.starts, rows.ends
+        for row in np.flatnonzero(rows.flags).tolist():
+            offset = int(rows.row_starts[row])
+            stop = data.find(b"\n", offset, size)
+            line = data[offset : size if stop < 0 else stop]
+            fields = line.removesuffix(b"\r").decode("utf-8").split(",")
+            try:
+                if rows.flags[row] & 1:
+                    starts[row] = float(fields[2])
+                if rows.flags[row] & 2:
+                    ends[row] = float(fields[3])
+            except ValueError:
+                return False
+        path_lut, new_paths = self._intern(data, rows.path_keys, self._path_codes)
+        self._parts.extend(tuple(p for p in path.split("/") if p) for path in new_paths)
+        state_lut, _ = self._intern(data, rows.state_keys, self._state_codes)
+        paths, states = path_lut[rows.paths], state_lut[rows.states]
+        if self._flagged(starts, ends, paths, states).any():
+            return False
+        self._blocks.append((starts, ends, paths, states))
+        return True
+
     def trace(self, hierarchy: "Hierarchy | None", states: "StateRegistry | None") -> Trace:
         """The trace of every row added, in ``StateInterval`` order.
 
         Rows sort by (start, end, leaf name, state name) with one stable
-        ``lexsort``; state ids follow the first appearance of each state in
-        sorted order, after any states ``states`` already registers.
+        ``lexsort``, skipped when they already are in that order (a stable
+        sort of ordered rows is the identity; :func:`write_csv` writes them
+        so); state ids follow the first appearance of each state in sorted
+        order, after any states ``states`` already registers.
         """
         if hierarchy is None:
             hierarchy = _build_hierarchy(self._source, list(dict.fromkeys(self._parts)))
@@ -304,11 +444,15 @@ class _CsvBlocks:
             paths = codes = np.empty(0, dtype=np.int32)
         leaf_names = [parts[-1] for parts in self._parts]
         state_names = list(self._state_codes)
-        order = np.lexsort(
-            (_ranks(state_names)[codes], _ranks(leaf_names)[paths], ends, starts)
-        )
-        paths = paths[order]
-        codes = codes[order]
+        keys = (starts, ends, _ranks(leaf_names)[paths], _ranks(state_names)[codes])
+        if _ordered(keys):
+            # Codes number the states in order of first appearance.
+            first_seen = range(len(state_names))
+        else:
+            order = np.lexsort(keys[::-1])
+            starts, ends, paths, codes = starts[order], ends[order], paths[order], codes[order]
+            seen, first = np.unique(codes, return_index=True)
+            first_seen = seen[np.argsort(first)].tolist()
         leaf_index = {name: i for i, name in enumerate(hierarchy.leaf_names)}
         leaf_ids = np.array([leaf_index.get(name, -1) for name in leaf_names], dtype="<i4")
         resource_ids = leaf_ids[paths]
@@ -319,11 +463,21 @@ class _CsvBlocks:
             raise TraceIOError(f"{self._source}: invalid trace content: {exc}") from exc
         registry = states.copy() if states is not None else StateRegistry()
         state_ids = np.zeros(len(state_names), dtype="<i4")
-        seen, first = np.unique(codes, return_index=True)
-        for code in seen[np.argsort(first)].tolist():
+        for code in first_seen:
             state_ids[code] = registry.add(state_names[code])
-        columns = TraceColumns(starts[order], ends[order], resource_ids, state_ids[codes])
+        columns = TraceColumns(starts, ends, resource_ids, state_ids[codes])
         return Trace.from_columns(columns, hierarchy, registry)
+
+
+def _ordered(keys: "tuple[np.ndarray, ...]") -> bool:
+    """Whether the rows are non-decreasing on ``keys``, the most significant first."""
+    tied = np.ones(max(keys[0].size - 1, 0), dtype=bool)
+    for key in keys:
+        before, after = key[:-1], key[1:]
+        if (tied & (before > after)).any():
+            return False
+        tied &= before == after
+    return True
 
 
 def _ranks(names: "list[str]") -> np.ndarray:
@@ -353,7 +507,7 @@ def write_paje(trace: Trace, path: str | os.PathLike[str]) -> int:
         )
     events.sort(key=lambda item: (item[0], item[1]))
     target = Path(path)
-    with target.open("w") as handle:
+    with target.open("w", encoding="utf-8") as handle:
         for _, _, line in events:
             handle.write(line + "\n")
     return len(events)
@@ -377,7 +531,7 @@ def read_paje(
     duration-preserving decomposition.
     """
     source = Path(path)
-    with source.open("r") as handle:
+    with source.open("r", encoding="utf-8") as handle:
         return parse_paje(source, handle, hierarchy=hierarchy, states=states)
 
 
@@ -462,13 +616,13 @@ def write_metadata(trace: Trace, path: str | os.PathLike[str]) -> None:
         "n_intervals": trace.n_intervals,
         "n_resources": trace.hierarchy.n_leaves,
     }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True))
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
 
 
 def read_metadata(path: str | os.PathLike[str]) -> dict[str, Any]:
     """Read a JSON metadata side-car written by :func:`write_metadata`."""
     try:
-        payload = json.loads(Path(path).read_text())
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise TraceIOError(f"{path}: invalid JSON metadata") from exc
     if not isinstance(payload, dict):

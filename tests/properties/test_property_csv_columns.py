@@ -9,12 +9,18 @@ state order, content digest, ``start``/``end`` and the interval objects —
 and on every bad input they must raise the same message, line number
 included.  Block sizes of 1, 2, 3 and 7 rows put every file across many
 parse blocks.
+
+The same oracle checks the bytes entry point of the ``c`` tier,
+:func:`~repro.trace.io.scan_csv` with :func:`parse_csv` behind it for the
+inputs it declines (what :func:`read_csv` does), with byte blocks of a few
+bytes so rows straddle blocks.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import os
 import sys
 import threading
 import time
@@ -22,16 +28,18 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core import kernels
 from repro.core.hierarchy import Hierarchy, HierarchyError
 from repro.pipeline.resolver import MemorySource
 from repro.store import trace_digest
 from repro.trace import io as trace_io
 from repro.trace.columns import TraceColumns
 from repro.trace.events import EventError, StateInterval
-from repro.trace.io import CSV_HEADER, TraceIOError, parse_csv, read_csv
+from repro.trace.io import CSV_HEADER, TraceIOError, parse_csv, read_csv, scan_csv
 from repro.trace.states import StateRegistry
 from repro.trace.trace import Trace, TraceError
 
@@ -107,17 +115,46 @@ def _outcome(parser, data: bytes, hierarchy=None, states=None):
         return f"TraceIOError: {exc}"
 
 
+def _scanned(source, handle, hierarchy=None, states=None) -> Trace:
+    """:func:`read_csv` over in-memory bytes on the ``c`` tier: the scan, else :func:`parse_csv`."""
+    data = handle.buffer.read()
+    with mock.patch.dict(os.environ, {kernels.KERNEL_ENV: "c"}):
+        trace = scan_csv(source, io.BytesIO(data), hierarchy=hierarchy, states=states)
+    if trace is not None:
+        return trace
+    handle = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+    return parse_csv(source, handle, hierarchy=hierarchy, states=states)
+
+
+#: Whether the ``c`` tier's compiled scan runs here.
+SCAN = kernels.csv_scan_available()
+
+
 def _bits(array: np.ndarray) -> bytes:
     return array.dtype.str.encode() + array.tobytes()
 
 
 def assert_same_outcome(data: bytes, block_rows: int, hierarchy=None, states=None):
+    """Both readers agree with the oracle: :func:`parse_csv` in blocks of
+    ``block_rows`` rows and, where it runs, the compiled scan in byte blocks
+    of ``block_rows`` bytes (1 MiB for 4096).  Returns the last reader's
+    trace, ``None`` where the oracle raises."""
     expected = _outcome(oracle_parse_csv, data, hierarchy, states)
     with mock.patch.object(trace_io, "_CSV_BLOCK_ROWS", block_rows):
-        actual = _outcome(parse_csv, data, hierarchy, states)
+        actuals = [_outcome(parse_csv, data, hierarchy, states)]
+    if SCAN:
+        scan_bytes = trace_io._CSV_SCAN_BYTES if block_rows == 4096 else block_rows
+        with mock.patch.object(trace_io, "_CSV_SCAN_BYTES", scan_bytes):
+            actuals.append(_outcome(_scanned, data, hierarchy, states))
+    for actual in actuals:
+        _assert_same(actual, expected, hierarchy)
+    return None if isinstance(expected, str) else actuals[-1]
+
+
+def _assert_same(actual, expected, hierarchy) -> None:
     if isinstance(expected, str):
         assert actual == expected
-        return None
+        return
     assert isinstance(actual, Trace), actual
     want, got = expected.columns(), actual.columns()
     for field in ("starts", "ends", "resource_ids", "state_ids"):
@@ -136,7 +173,6 @@ def assert_same_outcome(data: bytes, block_rows: int, hierarchy=None, states=Non
     assert repr(actual.end) == repr(expected.end)
     assert actual.intervals == expected.intervals
     assert [repr(iv) for iv in actual.intervals] == [repr(iv) for iv in expected.intervals]
-    return actual
 
 
 # --------------------------------------------------------------------------- #
@@ -179,6 +215,11 @@ def _render(rows, fmt, blank_after=frozenset(), path_style=0) -> bytes:
     return buffer.getvalue().encode("utf-8")
 
 
+def _plain(text: str) -> bool:
+    """Whether ``csv.writer`` writes ``text`` as it is (no quoting)."""
+    return not any(special in text for special in ',"\n\r')
+
+
 def _valid(rows):
     """Ordered bounds, so every row is a valid interval."""
     return [(p, s, min(a, b), max(a, b)) for p, s, a, b in rows]
@@ -215,6 +256,33 @@ class TestValidInputs:
         trace = assert_same_outcome(raw, block_rows, hierarchy, registry)
         assert trace.states.names[: len(preset)] == tuple(preset)
         assert registry.names == tuple(preset)  # the caller's registry is not mutated
+
+    @_SETTINGS
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([p for p in _PATHS if _plain("/".join(p))]),
+                st.sampled_from([s for s in _STATES if _plain(s)]),
+                st.sampled_from(_TIMES),
+                st.sampled_from(_TIMES),
+            ),
+            min_size=1, max_size=40,
+        ),
+        _formats,
+        st.sampled_from([1, 5, 64, 4096]),
+        st.booleans(),
+    )
+    @pytest.mark.skipif(not SCAN, reason="the compiled CSV scan is unavailable")
+    def test_plain_files_are_scanned(self, rows, fmt, block_rows, lf):
+        # Without quotes, blank lines or invalid rows the compiled scan
+        # reads the file itself, in CRLF or LF form, the final newline
+        # dropped or not.
+        data = _render(_valid(rows), fmt)
+        if lf:
+            data = data.replace(b"\r\n", b"\n")[: -1 if len(rows) % 2 else None]
+        with mock.patch.dict(os.environ, {kernels.KERNEL_ENV: "c"}):
+            assert scan_csv(SOURCE, io.BytesIO(data)) is not None
+        assert isinstance(assert_same_outcome(data, block_rows), Trace)
 
     def test_empty_file_with_a_caller_hierarchy_is_an_empty_trace(self):
         data = _render([], repr)

@@ -28,7 +28,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -134,6 +134,19 @@ def model_strategy(max_resources: int = 8, max_slices: int = 10):
 _OPERATORS = st.sampled_from(list(available_operators()))
 
 
+def _many_macro_model() -> MicroscopicModel:
+    """A 16 x 24 model of 9 states: some 84 000 macro proportions.
+
+    numpy's vectorized ``log2`` and the C library's round apart on about one
+    input in 3500, so a fill that took its logarithms from the C library
+    differs from the point queries on this model, whatever hypothesis draws.
+    """
+    rng = np.random.default_rng(7)
+    rho = rng.dirichlet(np.ones(10), size=(16, 24))[:, :, :9]
+    states = StateRegistry([f"s{i}" for i in range(9)])
+    return MicroscopicModel.from_proportions(rho, Hierarchy.balanced(16, fanout=2), states)
+
+
 def _point_tables(stats: IntervalStatistics, node) -> tuple[np.ndarray, np.ndarray]:
     """``(T, T)`` gain and loss tables of ``node`` from O(1) point queries only."""
     n_slices = stats.n_slices
@@ -155,6 +168,7 @@ class TestPointQueriesMatchTables:
     @pytest.mark.parametrize("kernel", TIERS)
     @_SETTINGS
     @given(model=model_strategy(), operator=_OPERATORS)
+    @example(model=_many_macro_model(), operator="mean")
     def test_scalar_gain_loss_bitwise_identical_to_tables(self, kernel, model, operator):
         """O(1) point queries == table entries, bit for bit (lower triangles +0.0).
 
